@@ -61,14 +61,7 @@ from .rounding import (
     run_design,
     sample_candidate,
 )
-from .sdp import (
-    SdpSolution,
-    SolverConfig,
-    dual_bisection,
-    inner_maxcut_sdp,
-    kkt_residuals,
-    solve_relaxation,
-)
+from .sdp import SdpSolution, kkt_residuals, solve_relaxation
 from .spectral import (
     EigenFactorization,
     GramMatrix,

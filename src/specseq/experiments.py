@@ -23,12 +23,7 @@ import numpy as np
 
 from . import baselines, oracle, rounding, sdp
 from ._version import __version__
-from .errors import (
-    DivergenceError,
-    InfeasibleRelaxationError,
-    NoFeasibleError,
-    NonConvergenceError,
-)
+from .errors import DivergenceError, InfeasibleRelaxationError, NoFeasibleError
 from .problem import BandSpec, DesignProblem, ScoreKind
 from .spectral import build_partial_dft, gram
 
@@ -312,7 +307,7 @@ def _feasibility_point(args):
     p, sweep_value, uniform_seed = args
     try:
         sol = sdp.solve_relaxation(p)
-    except (InfeasibleRelaxationError, NonConvergenceError) as exc:
+    except InfeasibleRelaxationError as exc:
         # flush a sentinel row instead of losing the whole sweep
         return [
             {"sweep": sweep_value, "statistic": "FAILED",
@@ -529,7 +524,7 @@ def _oracle_job(args):
         return {"skipped": True}
     try:
         sol = sdp.solve_relaxation(p)
-    except (InfeasibleRelaxationError, NonConvergenceError):
+    except InfeasibleRelaxationError:
         return {"skipped": True}
     res = rounding.run_design(p, sol, retain=True)
     table = res.trial_table
@@ -658,7 +653,7 @@ def _baseline_job(args):
         out["eigenvector"] = (
             eig.metrics.rejection_ratio, solve_seconds + time.perf_counter() - t2
         )
-    except (InfeasibleRelaxationError, NonConvergenceError):
+    except InfeasibleRelaxationError:
         out["alg1"] = None
         out["eigenvector"] = None
 

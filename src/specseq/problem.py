@@ -143,7 +143,10 @@ def validate_problem(p: DesignProblem) -> DesignProblem:
 
     Raises OverlapError if the bands intersect, IndexError if any bin
     falls outside [0, n), EmptyMessageError if the message band is empty,
-    and ValueError for non-positive sizes or a negative tolerance.
+    and ValueError for non-positive sizes or a negative tolerance. A
+    message bin k whose mirror n-k is an interferer bin is accepted: a
+    real sequence has |X_k| == |X_(n-k)|, so that pair puts equal power
+    into both bands, and the relaxation prices it through the bound.
     """
     if p.n < 1:
         raise ValueError(f"sequence length must be positive, got {p.n}")

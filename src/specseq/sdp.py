@@ -1,4 +1,4 @@
-"""Solver for the lifted relaxation of the binary design problem.
+"""Closed-form solver for the lifted relaxation of the binary design problem.
 
 The relaxation maximizes tr(A_M S) over unit-diagonal PSD matrices S
 subject to tr(A_I S) <= alpha/2, where A_M and A_I are the real Gram
@@ -6,13 +6,25 @@ matrices of the message and interferer bands. The halved bound mirrors
 the feasibility analysis of the rounding step; the rounding filter
 itself uses the full alpha.
 
-Architecture: the single trace inequality is dualized with a scalar
-multiplier lam, found by bisection. Each inner problem
-max tr((A_M - lam*A_I) S) over unit-diagonal PSD matrices is the
-classic max-cut style SDP and is solved by ADMM: the S-update projects
-onto the unit-diagonal affine set, the Z-update projects onto the PSD
-cone, and the penalty self-adapts by residual balancing. Inner solves
-are warm-started across bisection steps.
+Why a closed form is exact: A_M and A_I are circulant, and a cyclic
+shift P maps the feasible set onto itself (P S P^T keeps the unit
+diagonal, stays PSD and has the same traces against both Gram
+matrices). The average of any optimum over all n shifts is therefore
+feasible and optimal, and it is circulant: S = Re(F diag(q) F^H) for the
+unitary DFT F (Gatermann & Parrilo 2004; de Klerk 2010, "Exploiting
+special structure in semidefinite programming"). In that basis A_M and
+A_I are diagonal with the bin weights a and b, the unit diagonal is
+sum(q) = n and PSD is q >= 0, so the program is the linear program
+
+    maximize a.q  subject to  b.q <= alpha/2,  sum(q) = n,  q >= 0.
+
+Each weight is the half-count of bins k and n-k in a band, so it is 0,
+1/2 or 1, and bins with equal (a, b) form at most six classes. The LP
+optimum puts its mass on at most two classes; it is found by raising the
+multiplier of the bound through the breakpoints of the upper concave
+envelope of the class points (b, a), each step exact. The KKT residual
+is still evaluated against the dense Gram matrices, so the certificate
+does not rest on the symmetry argument.
 """
 
 from __future__ import annotations
@@ -21,35 +33,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import spectral
-from .errors import InfeasibleRelaxationError, NonConvergenceError
-from .problem import DesignProblem, validate_problem
-from .spectral import GramMatrix, build_partial_dft, gram
+from .errors import InfeasibleRelaxationError
+from .problem import BandSpec, DesignProblem, validate_problem
+from .spectral import RANK_TOL, build_partial_dft, gram
 
-
-@dataclass(frozen=True)
-class SolverConfig:
-    max_outer_iters: int = 5000
-    primal_tol: float = 1e-6
-    dual_tol: float = 1e-6
-    penalty: float = 1.0
-    bisection_tol: float = 1e-5
-    max_bisection: int = 60
-
-    def __post_init__(self):
-        for name in ("primal_tol", "dual_tol", "penalty", "bisection_tol"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+#: cosine table entries below this are exact zeros of the cosine, so a
+#: quarter-period zero quantizes to +1 by the sign rule, not by roundoff
+_TABLE_ZERO = 1e-12
 
 
 @dataclass(frozen=True)
 class SdpSolution:
-    """Solution of the relaxation, polished to exact unit diagonal.
+    """Solution of the relaxation, with exact unit diagonal.
 
-    matrix            n x n real symmetric PSD with unit diagonal
+    matrix            n x n real symmetric circulant PSD with unit diagonal
     objective         tr(A_M matrix)
-    interferer_trace  tr(A_I matrix), at most alpha/2 up to solver slack
-    factor            U * sqrt(eigenvalues) columnwise, so factor @ factor.T
+    interferer_trace  tr(A_I matrix), at most alpha/2 up to roundoff
+    factor            real Fourier columns scaled by sqrt of their
+                      eigenvalue, ordered by descending eigenvalue, then
+                      bin, then cos before sin; factor @ factor.T
                       reconstructs matrix and w = factor @ v has covariance
                       matrix for standard normal v
     rank              count of eigenvalues above the relative rank threshold
@@ -67,82 +69,91 @@ class SdpSolution:
     dual_multiplier: float
 
 
-class _AdmmState:
-    """Mutable warm-start state carried across bisection steps."""
-
-    def __init__(self, n: int, penalty: float):
-        self.s = np.eye(n)
-        self.z = np.eye(n)
-        self.u = np.zeros((n, n))
-        self.rho = penalty
+def _bin_weights(n: int, band: BandSpec) -> np.ndarray:
+    """Eigenvalues of a band's Gram matrix in the DFT basis: (1[k in band] + 1[n-k in band]) / 2."""
+    member = np.zeros(n)
+    member[band.as_array()] = 1.0
+    return (member + member[-np.arange(n) % n]) / 2.0
 
 
-def _psd_project(m: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(m)
-    np.maximum(w, 0.0, out=w)
-    return (v * w) @ v.T
+def _spectrum(a: np.ndarray, b: np.ndarray, bound: float):
+    """Optimal q of the reduced LP and the multiplier of its bound.
 
-
-def _polish(z: np.ndarray) -> np.ndarray:
-    """Rescale a PSD iterate to exact unit diagonal (congruence keeps PSD)."""
-    b = (z + z.T) / 2.0
-    d = np.diag(b).copy()
-    d[d <= 0.0] = 1.0
-    inv = 1.0 / np.sqrt(d)
-    b = b * inv[:, None] * inv[None, :]
-    np.fill_diagonal(b, 1.0)
-    return b
-
-
-def _admm_maxcut(a: np.ndarray, cfg: SolverConfig, state: _AdmmState | None = None):
-    """max tr(a S) s.t. diag(S) = 1, S PSD. Returns (polished S, state, iters)."""
-    n = a.shape[0]
-    scale = max(1.0, float(np.linalg.norm(a)))
-    g = a / scale
-    if state is None:
-        state = _AdmmState(n, cfg.penalty)
-    z, u, rho = state.z, state.u, state.rho
-    s_mat = state.s
-    for it in range(1, cfg.max_outer_iters + 1):
-        s_mat = z - u + g / rho
-        np.fill_diagonal(s_mat, 1.0)
-        v = s_mat + u
-        z_new = _psd_project(v)
-        u = v - z_new
-        r_norm = float(np.linalg.norm(s_mat - z_new))
-        d_norm = rho * float(np.linalg.norm(z_new - z))
-        z = z_new
-        eps_pri = cfg.primal_tol * max(1.0, float(np.linalg.norm(s_mat)), float(np.linalg.norm(z)))
-        eps_dual = cfg.dual_tol * max(1.0, rho * float(np.linalg.norm(u)))
-        if r_norm <= eps_pri and d_norm <= eps_dual:
-            state.s, state.z, state.u, state.rho = s_mat, z, u, rho
-            return _polish(z), state, it
-        # balance residuals at a coarse cadence during a warmup window
-        # only: per-iteration changes stall convergence, and near-cyclic
-        # rho flapping can sustain a limit cycle indefinitely, while
-        # fixed-penalty iterations are guaranteed to converge
-        if it % 10 == 0 and it <= 1000:
-            if r_norm > 10.0 * d_norm and rho < 1e6:
-                rho *= 2.0
-                u = u / 2.0
-            elif d_norm > 10.0 * r_norm and rho > 1e-6:
-                rho /= 2.0
-                u = u * 2.0
-    raise NonConvergenceError(
-        f"ADMM did not reach tolerance in {cfg.max_outer_iters} iterations "
-        f"(primal {r_norm:.3e}, dual {d_norm:.3e})"
-    )
-
-
-def inner_maxcut_sdp(a, cfg: SolverConfig = SolverConfig()) -> np.ndarray:
-    """Solve max tr(a S) over unit-diagonal PSD matrices S.
-
-    Accepts a GramMatrix or a plain symmetric ndarray; returns the
-    polished solution matrix with exact unit diagonal.
+    Mass is split evenly within each class, so q is symmetric
+    (q_k == q_(n-k)) and the same for every solve of the same problem.
     """
-    arr = a.values if isinstance(a, GramMatrix) else np.asarray(a, dtype=float)
-    matrix, _, _ = _admm_maxcut(arr, cfg)
-    return matrix
+    n = a.size
+    if n * b.min() > bound:
+        raise InfeasibleRelaxationError(
+            f"interferer trace floor {n * b.min():.6g} stays above alpha/2 = {bound:.6g}"
+        )
+    top = a == a.max()
+    if n * b[top].sum() <= top.sum() * bound:
+        return np.where(top, n / top.sum(), 0.0), 0.0
+
+    # Walk the envelope leftwards from the least-interfering top class:
+    # each step raises the multiplier to the slope of the next edge, until
+    # the bound falls on the edge [lo, hi]. Ties in slope take the farther
+    # point, so a pair always spans a whole edge.
+    points = set(zip(b.tolist(), a.tolist()))
+    lam, lo = 0.0, (float(b[top].min()), float(a.max()))
+    hi = lo
+    while n * lo[0] > bound:
+        hi = lo
+        lam, lo = min(
+            ((hi[1] - pt[1]) / (hi[0] - pt[0]), pt) for pt in points if pt[0] < hi[0]
+        )
+    if lo == hi:
+        mass = {lo: float(n)}
+    else:
+        width = hi[0] - lo[0]
+        mass = {lo: (n * hi[0] - bound) / width, hi: (bound - n * lo[0]) / width}
+    q = np.zeros(n)
+    for (b_c, a_c), m in mass.items():
+        members = (b == b_c) & (a == a_c)
+        q[members] = m / members.sum()
+    return q, lam
+
+
+def _cos_table(n: int) -> np.ndarray:
+    """cos(2 pi u / 4n) for u in [0, 4n), exactly even in u and with exact zeros."""
+    u = np.arange(4 * n)
+    table = np.cos(np.pi * np.minimum(u, 4 * n - u) / (2 * n))
+    table[np.abs(table) < _TABLE_ZERO] = 0.0
+    return table
+
+
+def _fourier_factor(q: np.ndarray, table: np.ndarray):
+    """Real Fourier columns scaled by sqrt(q), and the eigenvalue of each column.
+
+    Bin 0 and the Nyquist bin give one cosine column each; every other
+    bin k < n/2 gives a cosine and a sine column carrying q_k + q_(n-k).
+    """
+    n = q.size
+    k = np.arange(n // 2 + 1)
+    paired = (k > 0) & (2 * k < n)
+    phase = 4 * (np.outer(np.arange(n), k) % n)
+    scale = np.sqrt(np.where(paired, 2.0, 1.0) * q[k] / n)
+    cos_cols = table[phase] * scale
+    sin_cols = table[(phase - n) % (4 * n)][:, paired] * scale[paired]
+    factor = np.hstack([cos_cols, sin_cols])
+    eigenvalues = np.concatenate([q[k], q[k[paired]]])
+    order = np.lexsort((
+        np.concatenate([np.zeros(k.size), np.ones(int(paired.sum()))]),
+        np.concatenate([k, k[paired]]),
+        -eigenvalues,
+    ))
+    return factor[:, order], eigenvalues[order]
+
+
+def _circulant(q: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Re(F diag(q) F^H) for symmetric q, exactly symmetric and with unit diagonal."""
+    n = q.size
+    lags = np.arange(n // 2 + 1)
+    first = table[4 * (np.outer(lags, np.arange(n)) % n)] @ q / n
+    first[0] = 1.0
+    offset = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    return first[np.minimum(offset, n - offset)]
 
 
 def _kkt_value(matrix, a_m, a_i, lam, bound, alpha) -> float:
@@ -161,9 +172,20 @@ def _kkt_value(matrix, a_m, a_i, lam, bound, alpha) -> float:
     return max(diag_violation, ineq_violation, min_eig_violation, stationarity, slackness)
 
 
-def _assemble(matrix, a_m, a_i, lam, bound, alpha) -> SdpSolution:
-    ef = spectral.eigh(matrix)
-    factor = ef.eigenvectors * np.sqrt(np.maximum(ef.eigenvalues, 0.0))[None, :]
+def solve_relaxation(p: DesignProblem) -> SdpSolution:
+    """Solve the relaxation in closed form and certify it by KKT residual.
+
+    Raises InfeasibleRelaxationError exactly when n * min_k b_k > alpha/2,
+    that is when no unit-diagonal PSD matrix meets the halved bound.
+    """
+    validate_problem(p)
+    bound = p.alpha / 2.0
+    q, lam = _spectrum(_bin_weights(p.n, p.message), _bin_weights(p.n, p.interferer), bound)
+    table = _cos_table(p.n)
+    factor, eigenvalues = _fourier_factor(q, table)
+    matrix = _circulant(q, table)
+    a_m = gram(build_partial_dft(p.n, p.message)).values
+    a_i = gram(build_partial_dft(p.n, p.interferer)).values
     matrix.setflags(write=False)
     factor.setflags(write=False)
     return SdpSolution(
@@ -171,89 +193,10 @@ def _assemble(matrix, a_m, a_i, lam, bound, alpha) -> SdpSolution:
         objective=float(np.sum(a_m * matrix)),
         interferer_trace=float(np.sum(a_i * matrix)),
         factor=factor,
-        rank=ef.rank,
-        kkt_residual=_kkt_value(matrix, a_m, a_i, lam, bound, alpha),
+        rank=int(np.count_nonzero(eigenvalues > RANK_TOL * eigenvalues[0])),
+        kkt_residual=_kkt_value(matrix, a_m, a_i, lam, bound, p.alpha),
         dual_multiplier=lam,
     )
-
-
-def dual_bisection(p: DesignProblem, cfg: SolverConfig = SolverConfig()):
-    """Find the multiplier of the trace inequality by bisection.
-
-    Returns (lam, SdpSolution). lam = 0 when the unconstrained inner
-    solution already satisfies the halved bound; otherwise lam > 0 with
-    tr(A_I S(lam)) within bisection_tol * max(1, alpha) below the bound.
-    Raises InfeasibleRelaxationError when doubling lam max_bisection times
-    never drives the interferer trace under the bound.
-    """
-    validate_problem(p)
-    a_m = gram(build_partial_dft(p.n, p.message)).values
-    a_i = gram(build_partial_dft(p.n, p.interferer)).values
-    bound = p.alpha / 2.0
-    comp_tol = 1e-6
-
-    matrix, state, _ = _admm_maxcut(a_m, cfg)
-    itrace = float(np.sum(a_i * matrix))
-    if itrace <= bound + 10.0 * cfg.primal_tol:
-        return 0.0, _assemble(matrix, a_m, a_i, 0.0, bound, p.alpha)
-
-    lo, mat_lo, tr_lo = 0.0, matrix, itrace
-    hi = 1.0
-    mat_hi = None
-    tr_hi = itrace
-    for _ in range(cfg.max_bisection):
-        mat_hi, state, _ = _admm_maxcut(a_m - hi * a_i, cfg, state)
-        tr_hi = float(np.sum(a_i * mat_hi))
-        if tr_hi <= bound:
-            break
-        lo, mat_lo, tr_lo = hi, mat_hi, tr_hi
-        hi *= 2.0
-    else:
-        raise InfeasibleRelaxationError(
-            f"interferer trace floor {tr_hi:.6g} stays above alpha/2 = {bound:.6g}"
-        )
-
-    tol = cfg.bisection_tol * max(1.0, p.alpha)
-    for _ in range(cfg.max_bisection):
-        gap = bound - tr_hi
-        if gap <= tol or hi * gap <= comp_tol * max(1.0, p.alpha):
-            break
-        if hi - lo <= 1e-12 * max(1.0, hi):
-            break
-        mid = (lo + hi) / 2.0
-        mat_mid, state, _ = _admm_maxcut(a_m - mid * a_i, cfg, state)
-        tr_mid = float(np.sum(a_i * mat_mid))
-        if tr_mid <= bound:
-            hi, mat_hi, tr_hi = mid, mat_mid, tr_mid
-        else:
-            lo, mat_lo, tr_lo = mid, mat_mid, tr_mid
-
-    gap = bound - tr_hi
-    if gap > tol:
-        if hi * gap > comp_tol * max(1.0, p.alpha) and tr_lo > bound:
-            # The trace jumps across the bound at the critical multiplier:
-            # the inner problem there has a flat optimal face, and both
-            # bracket solutions lie on it. The face point meeting the
-            # bound with equality is their convex combination, and it is
-            # optimal for the constrained program.
-            t = gap / (tr_lo - tr_hi)
-            blended = (1.0 - t) * mat_hi + t * mat_lo
-            lam = (lo + hi) / 2.0
-            return lam, _assemble(blended, a_m, a_i, lam, bound, p.alpha)
-        # Constraint is slack for every positive multiplier: it is
-        # inactive, and only the first unconstrained solve landed on a
-        # violating optimum. Re-derive the multiplier-free solution.
-        mat0, state, _ = _admm_maxcut(a_m, cfg, state)
-        tr0 = float(np.sum(a_i * mat0))
-        if tr0 <= bound + 10.0 * cfg.primal_tol:
-            return 0.0, _assemble(mat0, a_m, a_i, 0.0, bound, p.alpha)
-    return hi, _assemble(mat_hi, a_m, a_i, hi, bound, p.alpha)
-
-
-def solve_relaxation(p: DesignProblem, cfg: SolverConfig = SolverConfig()) -> SdpSolution:
-    """Solve the relaxation for a validated problem and certify it by KKT residual."""
-    _, solution = dual_bisection(p, cfg)
-    return solution
 
 
 def kkt_residuals(solution: SdpSolution, p: DesignProblem) -> float:

@@ -42,6 +42,11 @@ class TestValidation:
         )
         assert validate_problem(p) is p
 
+    def test_mirrored_message_bin_accepted(self):
+        # bins 3 and 13 are mirrors at n=16, not an overlap
+        p = make_problem(16, (3,), (13,))
+        assert validate_problem(p) is p
+
     def test_overlapping_bands_rejected(self):
         with pytest.raises(OverlapError):
             validate_problem(make_problem(8, (1,), (1,)))

@@ -1,20 +1,24 @@
+import itertools
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from specseq import (
     BandSpec,
     DesignProblem,
     InfeasibleRelaxationError,
-    SolverConfig,
     build_partial_dft,
-    dual_bisection,
     gram,
     halved_constraint_optimum,
-    inner_maxcut_sdp,
     kkt_residuals,
+    metric_bundle,
+    quantized_principal_eigenvector,
     solve_relaxation,
 )
-from specseq.sdp import _admm_maxcut, _kkt_value
+from specseq.sdp import _kkt_value
 
 
 def make_problem(n, message, interferer, alpha, seed=0):
@@ -33,43 +37,6 @@ def random_config(rng, n=12, widths=(3, 3)):
     return make_problem(n, msg, intf, alpha)
 
 
-class TestInnerMaxcut:
-    def test_identity_objective_is_n(self):
-        s = inner_maxcut_sdp(np.eye(6))
-        assert np.trace(s) == pytest.approx(6.0, abs=1e-8)
-        assert np.abs(np.diag(s) - 1).max() < 1e-8
-
-    def test_all_ones_matrix_n6(self):
-        # optimum is the all-ones correlation matrix with value n^2
-        a = np.ones((6, 6))
-        s = inner_maxcut_sdp(a)
-        assert np.sum(a * s) == pytest.approx(36.0, rel=1e-5)
-        assert np.abs(s - 1.0).max() < 1e-4
-
-    def test_diagonal_objective_is_trace(self):
-        # with a diagonal objective matrix the value is fixed by the constraint
-        a = np.diag([1.0, -1.0, 1.0, -1.0])
-        s = inner_maxcut_sdp(a)
-        assert np.sum(a * s) == pytest.approx(np.trace(a), abs=1e-6)
-
-    def test_two_by_two_grid_oracle(self):
-        # S = [[1, t], [t, 1]] is the whole feasible set; compare to a grid
-        rng = np.random.default_rng(0)
-        a = rng.standard_normal((2, 2))
-        a = a + a.T
-        grid = np.linspace(-1.0, 1.0, 20001)
-        values = a[0, 0] + a[1, 1] + 2 * grid * a[0, 1]
-        s = inner_maxcut_sdp(a)
-        assert np.sum(a * s) == pytest.approx(values.max(), abs=1e-4)
-
-    def test_psd_and_unit_diagonal(self):
-        rng = np.random.default_rng(1)
-        a = rng.standard_normal((8, 8))
-        s = inner_maxcut_sdp(a + a.T)
-        assert np.linalg.eigvalsh(s).min() >= -1e-9
-        assert np.abs(np.diag(s) - 1).max() == 0.0
-
-
 class TestSolveRelaxation:
     def test_dc_unconstrained(self):
         p = make_problem(4, (0,), (), 1.0)
@@ -81,11 +48,10 @@ class TestSolveRelaxation:
 
     def test_solution_invariants(self):
         p = make_problem(16, (2, 3, 4), (6, 7), 1.5)
-        cfg = SolverConfig()
-        sol = solve_relaxation(p, cfg)
-        assert np.abs(np.diag(sol.matrix) - 1).max() <= 10 * cfg.primal_tol
-        assert sol.interferer_trace <= p.alpha / 2 + 10 * cfg.primal_tol
-        assert np.linalg.eigvalsh(np.asarray(sol.matrix)).min() >= -10 * cfg.primal_tol
+        sol = solve_relaxation(p)
+        assert np.abs(np.diag(sol.matrix) - 1).max() <= 10 * 1e-6
+        assert sol.interferer_trace <= p.alpha / 2 + 10 * 1e-6
+        assert np.linalg.eigvalsh(np.asarray(sol.matrix)).min() >= -10 * 1e-6
         recon = np.linalg.norm(sol.factor @ sol.factor.T - sol.matrix)
         assert recon <= 1e-6 * np.linalg.norm(sol.matrix)
         assert np.abs(sol.matrix).max() <= 1.0 + 1e-8
@@ -129,42 +95,97 @@ class TestSolveRelaxation:
         assert sol.dual_multiplier == 0.0
         assert sol.objective == pytest.approx(4.0, abs=1e-5)
 
+    def test_message_bin_mirrored_in_interferer(self):
+        # |X_1| == |X_7| for real x, so message bin 1 and interferer bin 7
+        # carry the same power; the optimum puts mass 2 on bins {1, 7},
+        # where both weights are 1/2, and the bound binds
+        p = make_problem(8, (1,), (7,), 2.0)
+        sol = solve_relaxation(p)
+        assert sol.objective == pytest.approx(1.0, abs=1e-12)
+        assert sol.dual_multiplier == 1.0
+        for bits in itertools.product((-1, 1), repeat=8):
+            m = metric_bundle(p, np.array(bits))
+            assert m.message_power == pytest.approx(m.interferer_power, rel=1e-12, abs=1e-12)
+
+    def test_matrix_circulant_with_unit_diagonal(self):
+        p = make_problem(16, (2, 3, 4), (6, 7), 1.5)
+        s = np.asarray(solve_relaxation(p).matrix)
+        assert np.array_equal(np.diag(s), np.ones(16))
+        assert np.array_equal(s, s.T)
+        assert np.array_equal(s, np.roll(s, (1, 1), axis=(0, 1)))
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_factor_columns_in_canonical_order(self, n):
+        # every bin but DC carries mass n/(n-1); columns go by descending
+        # eigenvalue, then bin, then cos before sin, and DC's zero column
+        # comes last; only even n has a Nyquist column
+        p = make_problem(n, tuple(range(1, n)), (), 1.0)
+        sol = solve_relaxation(p)
+        j = np.arange(n)
+        q = n / (n - 1)
+        expected = []
+        for k in range(1, n // 2 + 1):
+            if 2 * k == n:
+                expected.append(np.sqrt(q / n) * np.cos(np.pi * j))
+            else:
+                expected.append(np.sqrt(2 * q / n) * np.cos(2 * np.pi * k * j / n))
+                expected.append(np.sqrt(2 * q / n) * np.sin(2 * np.pi * k * j / n))
+        expected.append(np.zeros(n))
+        assert sol.factor.shape == (n, n)
+        assert np.abs(sol.factor - np.column_stack(expected)).max() <= 1e-12
+
+    def test_quarter_period_zeros_quantize_to_plus_one(self):
+        # the lead column is cos(pi j / 2): its zeros are exact, so the
+        # documented rule maps them to +1
+        p = make_problem(8, (2,), (), 1.0)
+        sol = solve_relaxation(p)
+        assert np.array_equal(sol.factor[:, 0], [1.0, 0.0, -1.0, 0.0, 1.0, 0.0, -1.0, 0.0])
+        cand = quantized_principal_eigenvector(p, sol)
+        assert np.array_equal(cand.sequence, [1, 1, -1, 1, 1, 1, -1, 1])
+
+    def test_rank_counts_bins_with_mass(self):
+        # mass 3/4 on bins {1, 2, 10, 11}, 3/2 on the six bins outside
+        # both bands and their mirrors, none on bins {5, 7}
+        p = make_problem(12, (1, 2), (5, 10, 11), 3.0)
+        assert solve_relaxation(p).rank == 10
+        assert solve_relaxation(make_problem(4, (0,), (), 1.0)).rank == 1
+
 
 class TestDualBisection:
+    """The multiplier of the halved interferer bound and the infeasible case."""
+
     def test_huge_alpha_takes_zero_branch(self):
         p = make_problem(8, (1, 2), (3, 4), alpha=2.0 * 2 * 8)
-        lam, sol = dual_bisection(p)
-        assert lam == 0.0
+        sol = solve_relaxation(p)
+        assert sol.dual_multiplier == 0
         assert sol.interferer_trace <= p.alpha / 2
 
     def test_trace_monotone_in_multiplier(self):
-        n = 8
-        a_m = gram(build_partial_dft(n, BandSpec((1, 2)))).values
-        a_i = gram(build_partial_dft(n, BandSpec((0, 3, 4, 5)))).values
-        cfg = SolverConfig()
-        traces = []
-        state = None
-        for lam in np.linspace(0.0, 2.0, 10):
-            mat, state, _ = _admm_maxcut(a_m - lam * a_i, cfg, state)
-            traces.append(float(np.sum(a_i * mat)))
-        diffs = np.diff(traces)
-        assert np.all(diffs <= 1e-4)
+        # raising alpha lowers the multiplier; the objective never falls,
+        # and the interferer trace rises as the multiplier falls
+        objectives, traces, multipliers = [], [], []
+        for alpha in np.linspace(0.0, 10.0, 21):
+            p = make_problem(8, (1, 2), (0, 3, 6, 7), alpha)
+            sol = solve_relaxation(p)
+            assert sol.interferer_trace <= alpha / 2 + 1e-12
+            objectives.append(sol.objective)
+            traces.append(sol.interferer_trace)
+            multipliers.append(sol.dual_multiplier)
+        assert np.all(np.diff(objectives) >= -1e-12)
+        assert np.all(np.diff(traces) >= -1e-12)
+        assert np.all(np.diff(multipliers) <= 0.0)
+        assert multipliers[0] > 0.0 and multipliers[-1] == 0.0
 
     def test_infeasible_detected(self):
         # interferer covering every conjugate pair leaves no null space,
-        # so the interferer trace has a positive floor
+        # so the interferer trace has the floor n * min_k b_k = 8 * 1/2
         p = make_problem(8, (5,), (0, 1, 2, 3, 4), alpha=0.0)
-        cfg = SolverConfig(max_bisection=16)
         with pytest.raises(InfeasibleRelaxationError):
-            solve_relaxation(p, cfg)
-
-    def test_interferer_trace_floor_positive(self):
-        # verify the floor numerically: minimize tr(A_I S) directly
-        n = 8
-        a_i = gram(build_partial_dft(n, BandSpec((0, 1, 2, 3, 4)))).values
-        mat = inner_maxcut_sdp(-a_i)
-        floor = float(np.sum(a_i * mat))
-        assert floor > 0.1
+            solve_relaxation(p)
+        sol = solve_relaxation(replace(p, alpha=8.0))
+        assert sol.interferer_trace == pytest.approx(4.0, abs=1e-12)
+        with pytest.raises(InfeasibleRelaxationError):
+            solve_relaxation(replace(p, alpha=float(np.nextafter(8.0, 0.0))))
 
 
 class TestKktResiduals:
@@ -198,7 +219,35 @@ class TestKktResiduals:
         assert sol.kkt_residual <= 1e-5
 
 
-class TestSolverConfig:
-    def test_rejects_nonpositive_tolerances(self):
-        with pytest.raises(ValueError):
-            SolverConfig(primal_tol=0.0)
+def _interferer_floor(p):
+    """n * min_k b_k, b_k the half-count of bins k and n-k in the interferer band."""
+    band = set(p.interferer)
+    return p.n * min(((k in band) + ((p.n - k) % p.n in band)) / 2 for k in range(p.n))
+
+
+@st.composite
+def problems(draw):
+    n = draw(st.integers(2, 12))
+    labels = draw(st.lists(st.sampled_from("mi."), min_size=n, max_size=n).filter(
+        lambda labels: "m" in labels))
+    message = tuple(k for k, c in enumerate(labels) if c == "m")
+    interferer = tuple(k for k, c in enumerate(labels) if c == "i")
+    return make_problem(n, message, interferer, draw(st.floats(0.0, float(n))))
+
+
+class TestClosedFormProperties:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(p=problems())
+    @example(p=make_problem(8, (0,), (4,), 1.0))  # DC message, Nyquist interferer
+    @example(p=make_problem(6, (3,), (), 0.0))  # Nyquist message, no interferer, alpha 0
+    @example(p=make_problem(7, (2, 3), (4, 5), 2.5))  # odd n, both bins mirrored
+    @example(p=make_problem(8, (5,), (0, 1, 2, 3, 4), 8.0))  # alpha/2 at the floor
+    def test_certified_and_dominates_oracle(self, p):
+        if _interferer_floor(p) > p.alpha / 2:
+            with pytest.raises(InfeasibleRelaxationError):
+                solve_relaxation(p)
+            return
+        sol = solve_relaxation(p)
+        assert sol.kkt_residual <= 1e-9
+        assert sol.interferer_trace <= p.alpha / 2 + 1e-12
+        assert sol.objective >= halved_constraint_optimum(p) - 1e-9
