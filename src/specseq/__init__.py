@@ -39,10 +39,12 @@ from .experiments import (
 )
 from .oracle import OracleResult, exhaustive_search, halved_constraint_optimum
 from .problem import (
+    BandMetrics,
     BandSpec,
     DesignProblem,
     MetricBundle,
     ScoreKind,
+    band_metrics,
     interferer_power,
     message_power,
     metric_bundle,
@@ -72,4 +74,34 @@ from .spectral import (
     gram,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+#: the public API; the submodules stay importable as specseq.<module>
+__all__ = [
+    "__version__",
+    # SHAPE and LPNN baselines
+    "BaselineResult", "LpnnState", "ShapeBounds", "ShapeState", "lpnn_increments",
+    "run_lpnn", "run_shape", "shape_bounds_from_problem", "shape_scale_step",
+    "shape_sequence_step", "shape_spectrum_step",
+    # errors
+    "DegenerateObjectiveError", "DivergenceError", "EmptyInterfererError",
+    "EmptyMessageError", "InfeasibleRelaxationError", "LengthMismatchError",
+    "NoFeasibleError", "NonConvergenceError", "OverlapError", "RankZeroError",
+    "SizeLimitError", "SpecseqError", "ZeroScaleError", "ZeroSpectrumError",
+    # experiment harnesses
+    "ExperimentConfig", "ExperimentKind", "ExperimentReport", "default_config",
+    "run_experiment",
+    # exhaustive oracle
+    "OracleResult", "exhaustive_search", "halved_constraint_optimum",
+    # problems, the metric kernel and the scalar metrics
+    "BandMetrics", "BandSpec", "DesignProblem", "MetricBundle", "ScoreKind",
+    "band_metrics", "interferer_power", "message_power", "metric_bundle",
+    "rejection_ratio", "reciprocal_dynamic_range", "sequence_line", "validate_problem",
+    # randomized rounding and theory quantities
+    "Candidate", "DesignResult", "approximation_ratio", "arcsin_trace_ratio",
+    "mcdiarmid_bound", "quantized_principal_eigenvector", "run_design",
+    "sample_candidate",
+    # the relaxation
+    "SdpSolution", "kkt_residuals", "solve_relaxation",
+    # partial DFTs, Gram matrices, eigendecomposition
+    "EigenFactorization", "GramMatrix", "PartialDftBasis", "build_partial_dft", "eigh",
+    "full_spectrum", "gram",
+]

@@ -1,7 +1,10 @@
 """Command-line entry point.
 
 Subcommands take a JSON config file and write JSON to stdout or CSV to a
-file. All randomness flows from the config seed, overridable with
+file. JSON output is strict: a non-finite number (a perfect notch's
+rejection ratio, beta when the relaxation nulls the interferer band) is
+written as the string "inf", "-inf" or "nan", the spelling of the CSV
+reports. All randomness flows from the config seed, overridable with
 --seed; without either the seed is 0, never entropy. Exit codes: 0 on
 success, 2 when a design finds no feasible sequence, 1 on any error.
 """
@@ -10,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -39,8 +43,19 @@ def _load_problem(args) -> DesignProblem:
     return validate_problem(p)
 
 
+def _strict(value):
+    """Replace each non-finite float by its repr ("inf", "-inf", "nan")."""
+    if isinstance(value, dict):
+        return {key: _strict(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_strict(item) for item in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return repr(value)
+    return value
+
+
 def _emit(payload: dict) -> None:
-    json.dump(payload, sys.stdout, sort_keys=True, indent=2)
+    json.dump(_strict(payload), sys.stdout, sort_keys=True, indent=2, allow_nan=False)
     sys.stdout.write("\n")
 
 

@@ -24,7 +24,7 @@ import numpy as np
 from . import baselines, oracle, rounding, sdp
 from ._version import __version__
 from .errors import DivergenceError, InfeasibleRelaxationError, NoFeasibleError
-from .problem import BandSpec, DesignProblem, ScoreKind
+from .problem import BandSpec, DesignProblem, ScoreKind, band_metrics
 from .spectral import build_partial_dft, gram
 
 #: reference length the published band layouts are given for
@@ -281,22 +281,15 @@ def _mean_se(values) -> tuple:
     return mean, se
 
 
-def _uniform_band_powers(n, band, count, rng) -> np.ndarray:
-    """Interferer powers of `count` uniform +-1 sequences."""
-    cols = build_partial_dft(n, band).columns.conj()
-    powers = np.empty(count)
-    done = 0
-    while done < count:
-        block = min(65536, count - done)
-        signs = rng.integers(0, 2, size=(block, n)) * 2.0 - 1.0
-        if cols.shape[1] == 0:
-            powers[done : done + block] = 0.0
-        else:
-            re = signs @ cols.real
-            im = signs @ cols.imag
-            powers[done : done + block] = (re**2 + im**2).sum(axis=1)
-        done += block
-    return powers
+def _uniform_metrics(p: DesignProblem, count: int, rng) -> tuple:
+    """Message powers and feasibility of `count` uniform +-1 sequences."""
+    f, feasible = [], []
+    for done in range(0, count, 65536):
+        signs = rng.integers(0, 2, size=(min(65536, count - done), p.n)) * 2.0 - 1.0
+        metrics = band_metrics(p, signs)
+        f.append(metrics.message_power)
+        feasible.append(metrics.feasible)
+    return np.concatenate(f), np.concatenate(feasible)
 
 
 # ----------------------------------------------------------------------
@@ -319,10 +312,8 @@ def _feasibility_point(args):
     k = len(p.interferer)
     threshold = (res.beta + 1.0) * p.alpha / math.pi
     exceed = float(np.mean(table.interferer_power >= threshold)) if k else 0.0
-    uniform_g = _uniform_band_powers(
-        p.n, p.interferer, p.trials, np.random.default_rng(uniform_seed)
-    )
-    uniform_rate = float(np.mean(uniform_g <= p.alpha))
+    _, uniform_feasible = _uniform_metrics(p, p.trials, np.random.default_rng(uniform_seed))
+    uniform_rate = float(np.mean(uniform_feasible))
     rows = [
         {"sweep": sweep_value, "statistic": "rounded_feasible_rate", "value": rate,
          "std_error": _binomial_se(rate, p.trials)},
@@ -398,16 +389,9 @@ def exp_ratio_histogram(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentRepor
              "value": int(count), "std_error": 0.0}
         )
 
-    rng = np.random.default_rng(_child_seed(root, 0))
-    cols_m = build_partial_dft(p.n, p.message).columns.conj()
-    cols_i = build_partial_dft(p.n, p.interferer).columns.conj()
-    signs = rng.integers(0, 2, size=(p.trials, p.n)) * 2.0 - 1.0
-    f_u = ((signs @ cols_m.real) ** 2 + (signs @ cols_m.imag) ** 2).sum(axis=1)
-    if cols_i.shape[1]:
-        g_u = ((signs @ cols_i.real) ** 2 + (signs @ cols_i.imag) ** 2).sum(axis=1)
-    else:
-        g_u = np.zeros(p.trials)
-    uniform_feasible = g_u <= p.alpha
+    f_u, uniform_feasible = _uniform_metrics(
+        p, p.trials, np.random.default_rng(_child_seed(root, 0))
+    )
     uniform_gamma = f_u[uniform_feasible] / sol.objective
     counts_u, _ = np.histogram(np.clip(uniform_gamma, 0.0, 1.0), bins=edges)
     for center, count in zip(centers, counts_u):

@@ -1,22 +1,28 @@
 """Exhaustive search over binary sequences for small lengths.
 
 Negating a sequence changes no metric, so the first entry is fixed to +1
-and only 2^(n-1) sequences are visited. Enumeration follows Gray-code
-order: each step flips a single entry and updates the two band spectra
-incrementally, costing O(|message| + |interferer|) per sequence.
+and only 2^(n-1) sequences are visited. They are enumerated in
+lexicographic order (-1 before +1) in blocks of 2^12 rows, and each
+block is scored by problem.band_metrics, so the oracle applies the same
+metric, null and feasibility rules as the design it judges. Within a
+block the first maximum wins and across blocks only a strictly larger
+score replaces the best, so ties go to the lexicographically smaller
+sequence.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import NoFeasibleError, SizeLimitError
-from .problem import DesignProblem, MetricBundle, metric_bundle, null_tolerance, validate_problem
-from .spectral import build_partial_dft
+from .problem import DesignProblem, ScoreKind, band_metrics, metric_bundle, validate_problem
 
 DEFAULT_LIMIT = 24
+
+#: sequences enumerated per block are 2^_BLOCK_BITS
+_BLOCK_BITS = 12
 
 
 @dataclass(frozen=True)
@@ -30,147 +36,67 @@ class OracleResult:
     n_enumerated: int
 
 
-def _gray_flips(nbits: int):
-    """Yield the bit flipped at each Gray-code step over 2^nbits - 1 steps."""
-    prev = 0
-    for m in range(1, 1 << nbits):
-        code = m ^ (m >> 1)
-        yield (code ^ prev).bit_length() - 1
-        prev = code
+def _signs(codes: np.ndarray, width: int) -> np.ndarray:
+    """Rows of +-1 whose bits, most significant first, are the codes (0 -> -1)."""
+    bits = codes[:, None] >> np.arange(width - 1, -1, -1) & 1
+    return bits * 2.0 - 1.0
 
 
-def _lex_less(a: np.ndarray, b: np.ndarray) -> bool:
-    """Lexicographic order on sequences with -1 sorting before +1."""
-    diff = np.nonzero(a != b)[0]
-    if diff.size == 0:
-        return False
-    return bool(a[diff[0]] < b[diff[0]])
+def _enumerate(p: DesignProblem):
+    """Yield (block, band_metrics of block) over all sequences with s_0 = +1.
 
-
-class _Tracker:
-    """Keeps the best (score, sequence); ties go to the lex-smaller sequence."""
-
-    def __init__(self):
-        self.score = -np.inf
-        self.sequence = None
-
-    def offer(self, score: float, seq: np.ndarray):
-        if score > self.score or (
-            score == self.score and self.sequence is not None and _lex_less(seq, self.sequence)
-        ):
-            self.score = score
-            self.sequence = seq.copy()
-
-
-def exhaustive_search(p: DesignProblem, n_limit: int = DEFAULT_LIMIT) -> OracleResult:
-    """Enumerate every binary sequence and return the feasible optima.
-
-    Raises SizeLimitError when p.n exceeds n_limit and NoFeasibleError
-    when no sequence satisfies the interferer bound.
+    The block array is reused between steps; copy any row kept.
     """
     validate_problem(p)
-    if p.n > n_limit:
-        raise SizeLimitError(f"n={p.n} exceeds exhaustive-search limit {n_limit}")
+    if p.n > DEFAULT_LIMIT:
+        raise SizeLimitError(f"n={p.n} exceeds exhaustive-search limit {DEFAULT_LIMIT}")
+    low = min(p.n - 1, _BLOCK_BITS)
+    high = p.n - 1 - low
+    block = np.ones((1 << low, p.n))
+    block[:, p.n - low :] = _signs(np.arange(1 << low), low)
+    for code in range(1 << high):
+        block[:, 1 : 1 + high] = _signs(np.array([code]), high)
+        yield block, band_metrics(p, block)
 
-    cols_m = build_partial_dft(p.n, p.message).columns
-    cols_i = build_partial_dft(p.n, p.interferer).columns
-    # row i of these is the update to the band spectrum when s_i flips by 2
-    upd_m = 2.0 * cols_m.conj()
-    upd_i = 2.0 * cols_i.conj()
 
-    s = np.ones(p.n, dtype=np.int8)
-    y_m = cols_m.conj().T @ s.astype(float)
-    y_i = cols_i.conj().T @ s.astype(float)
-    has_interferer = len(p.interferer) > 0
-    tol = null_tolerance(p.n)
+def exhaustive_search(p: DesignProblem) -> OracleResult:
+    """Enumerate every binary sequence and return the feasible optima.
 
-    by_power = _Tracker()
-    by_rho = _Tracker()
-    by_chi = _Tracker()
+    Raises SizeLimitError when p.n exceeds DEFAULT_LIMIT and
+    NoFeasibleError when no sequence satisfies the interferer bound.
+    """
+    best = {kind: (-np.inf, None) for kind in ScoreKind}
     n_feasible = 0
-
-    def consider():
-        nonlocal n_feasible
-        g = float(np.sum(y_i.real**2 + y_i.imag**2))
-        if g > p.alpha:
-            return
-        n_feasible += 1
-        mag_m = np.abs(y_m)
-        f = float(np.sum(mag_m**2))
-        min_m = float(mag_m.min())
-        max_m = float(mag_m.max())
-        if has_interferer:
-            max_i = float(np.max(np.abs(y_i)))
-            if max_i <= tol:
-                rho = np.inf if min_m > tol else 0.0
-            else:
-                rho = min_m / max_i
-        else:
-            rho = np.inf if min_m > tol else 0.0
-        chi = 0.0 if max_m <= tol else min_m / max_m
-        by_power.offer(f, s)
-        by_rho.offer(rho, s)
-        by_chi.offer(chi, s)
-
-    consider()
-    for bit in _gray_flips(p.n - 1):
-        c = bit + 1  # entry 0 stays +1
-        s[c] = -s[c]
-        step = float(s[c])
-        y_m += step * upd_m[c]
-        y_i += step * upd_i[c]
-        consider()
+    for block, metrics in _enumerate(p):
+        n_feasible += int(metrics.feasible.sum())
+        for kind in ScoreKind:
+            idx, score = metrics.best_feasible(kind)
+            if score > best[kind][0]:
+                best[kind] = (score, block[idx].astype(np.int8))
 
     if n_feasible == 0:
         raise NoFeasibleError(f"no binary sequence has interferer power <= {p.alpha}")
 
-    def pack(tracker: _Tracker) -> tuple:
-        return tracker.sequence, metric_bundle(p, tracker.sequence)
+    def pack(kind: ScoreKind) -> tuple:
+        seq = best[kind][1]
+        return seq, metric_bundle(p, seq)
 
     return OracleResult(
-        best_by_power=pack(by_power),
-        best_by_rho=pack(by_rho),
-        best_by_chi=pack(by_chi),
+        best_by_power=pack(ScoreKind.MESSAGE_POWER),
+        best_by_rho=pack(ScoreKind.REJECTION_RATIO),
+        best_by_chi=pack(ScoreKind.RECIPROCAL_DYNAMIC_RANGE),
         n_feasible=n_feasible,
         n_enumerated=1 << (p.n - 1),
     )
 
 
-def halved_constraint_optimum(p: DesignProblem, n_limit: int = DEFAULT_LIMIT) -> float:
+def halved_constraint_optimum(p: DesignProblem) -> float:
     """Max message power over binary sequences with interferer power <= alpha/2.
 
     Returns -inf when that feasible set is empty. This is the ground
     truth the relaxation objective must dominate.
     """
-    validate_problem(p)
-    if p.n > n_limit:
-        raise SizeLimitError(f"n={p.n} exceeds exhaustive-search limit {n_limit}")
-
-    cols_m = build_partial_dft(p.n, p.message).columns
-    cols_i = build_partial_dft(p.n, p.interferer).columns
-    upd_m = 2.0 * cols_m.conj()
-    upd_i = 2.0 * cols_i.conj()
-
-    s = np.ones(p.n, dtype=np.int8)
-    y_m = cols_m.conj().T @ s.astype(float)
-    y_i = cols_i.conj().T @ s.astype(float)
-    bound = p.alpha / 2.0
     best = -np.inf
-
-    def consider():
-        nonlocal best
-        g = float(np.sum(y_i.real**2 + y_i.imag**2))
-        if g <= bound:
-            f = float(np.sum(y_m.real**2 + y_m.imag**2))
-            if f > best:
-                best = f
-
-    consider()
-    for bit in _gray_flips(p.n - 1):
-        c = bit + 1
-        s[c] = -s[c]
-        step = float(s[c])
-        y_m += step * upd_m[c]
-        y_i += step * upd_i[c]
-        consider()
+    for _, metrics in _enumerate(replace(p, alpha=p.alpha / 2.0)):
+        best = max(best, metrics.best_feasible(ScoreKind.MESSAGE_POWER)[1])
     return best

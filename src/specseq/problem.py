@@ -3,7 +3,8 @@
 A design problem asks for a length-n sequence with entries in {-1, +1}
 whose spectrum is large over a set of message bins and whose total power
 over a disjoint set of interferer bins stays below a tolerance alpha.
-All metrics here are deterministic functions of (problem, sequence).
+All metrics are computed by one vectorized kernel, band_metrics, over a
+block of sequences; the scalar functions read its single-row case.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import EmptyMessageError, LengthMismatchError, OverlapError
+from .spectral import build_partial_dft
 
 
 @dataclass(frozen=True)
@@ -111,6 +113,14 @@ class ScoreKind(Enum):
         raise ValueError(f"unknown score kind {name!r}")
 
 
+#: the metric field each selection score reads
+_SCORE_FIELDS = {
+    ScoreKind.MESSAGE_POWER: "message_power",
+    ScoreKind.REJECTION_RATIO: "rejection_ratio",
+    ScoreKind.RECIPROCAL_DYNAMIC_RANGE: "reciprocal_dynamic_range",
+}
+
+
 @dataclass(frozen=True)
 class MetricBundle:
     """All scalar quality metrics of one sequence against one problem."""
@@ -122,11 +132,7 @@ class MetricBundle:
     feasible: bool
 
     def score(self, kind: ScoreKind) -> float:
-        if kind is ScoreKind.MESSAGE_POWER:
-            return self.message_power
-        if kind is ScoreKind.REJECTION_RATIO:
-            return self.rejection_ratio
-        return self.reciprocal_dynamic_range
+        return getattr(self, _SCORE_FIELDS[kind])
 
     def to_json_dict(self) -> dict:
         return {
@@ -185,89 +191,116 @@ def null_tolerance(n: int) -> float:
     return 1e-12 * math.sqrt(n)
 
 
-def band_magnitudes(p: DesignProblem, s, band: BandSpec) -> np.ndarray:
-    """Spectrum magnitudes |F_k^H s| over the given band (unitary DFT, 1/sqrt(n))."""
-    arr = as_sequence(p, s)
-    from .spectral import build_partial_dft
+@dataclass(frozen=True)
+class BandMetrics:
+    """Per-row metric arrays of a block of sequences, named like MetricBundle."""
 
-    basis = build_partial_dft(p.n, band)
-    return np.abs(basis.columns.conj().T @ arr)
+    message_power: np.ndarray
+    interferer_power: np.ndarray
+    rejection_ratio: np.ndarray
+    reciprocal_dynamic_range: np.ndarray
+    feasible: np.ndarray
+
+    def best_feasible(self, kind: ScoreKind) -> tuple:
+        """(index, score) of the first feasible row with the highest score.
+
+        The score is -inf when no row is feasible.
+        """
+        masked = np.where(self.feasible, getattr(self, _SCORE_FIELDS[kind]), -np.inf)
+        idx = int(np.argmax(masked))
+        return idx, float(masked[idx])
+
+
+def band_metrics(p: DesignProblem, signs) -> BandMetrics:
+    """All metrics of each row of a (B, n) block of sequences.
+
+    Rows are real (+-1) or complex (unimodular baseline outputs); the
+    band spectrum of a row s is F_k^H s for the unitary DFT. One real
+    basis [Re C_M | Re C_I | Im C_M | Im C_I], with C the conjugated
+    partial DFT columns, gives both bands in a single product.
+
+    A row is feasible when its interferer power is at most
+    alpha + 1e-9 * max(1, alpha): sequences whose exact power equals
+    alpha land on either side of it by roundoff alone, so the slack
+    decides them for the bound. The rejection ratio of a row whose
+    interferer band is empty or nulled is +inf under a live message
+    band (a perfect notch) and 0 when the message band is nulled too
+    (0/0, worthless as a design); the reciprocal dynamic range of a
+    nulled message band is 0.
+    """
+    rows = np.asarray(signs)
+    if rows.ndim != 2 or rows.shape[1] != p.n:
+        raise LengthMismatchError(f"expected rows of length {p.n}, got shape {rows.shape}")
+    n_m = len(p.message)
+    if n_m == 0:
+        raise EmptyMessageError("message band is empty")
+    conj = build_partial_dft(p.n, p.message.indices + p.interferer.indices).columns.conj()
+    n_bins = conj.shape[1]
+    basis = np.hstack([conj.real, conj.imag])
+    if np.iscomplexobj(rows):
+        y = np.vstack([rows.real, rows.imag]) @ basis
+        y_re, y_im = y[: len(rows)], y[len(rows) :]
+        re = y_re[:, :n_bins] - y_im[:, n_bins:]
+        im = y_re[:, n_bins:] + y_im[:, :n_bins]
+    else:
+        y = rows @ basis
+        re, im = y[:, :n_bins], y[:, n_bins:]
+    sq = re**2 + im**2
+    mags = np.sqrt(sq)
+    mag_m, mag_i = mags[:, :n_m], mags[:, n_m:]
+    tol = null_tolerance(p.n)
+    min_m = mag_m.min(axis=1)
+    max_m = mag_m.max(axis=1)
+    max_i = mag_i.max(axis=1, initial=0.0)
+    null_i = max_i <= tol
+    null_m = max_m <= tol
+    rho = np.where(
+        null_i, np.where(min_m > tol, np.inf, 0.0), min_m / np.where(null_i, 1.0, max_i)
+    )
+    g = sq[:, n_m:].sum(axis=1)
+    return BandMetrics(
+        message_power=sq[:, :n_m].sum(axis=1),
+        interferer_power=g,
+        rejection_ratio=rho,
+        reciprocal_dynamic_range=np.where(null_m, 0.0, min_m / np.where(null_m, 1.0, max_m)),
+        feasible=g <= p.alpha + 1e-9 * max(1.0, p.alpha),
+    )
+
+
+def metric_bundle(p: DesignProblem, s) -> MetricBundle:
+    """All metrics of one sequence: the single-row case of band_metrics."""
+    b = band_metrics(p, as_sequence(p, s)[None, :])
+    return MetricBundle(
+        message_power=float(b.message_power[0]),
+        interferer_power=float(b.interferer_power[0]),
+        rejection_ratio=float(b.rejection_ratio[0]),
+        reciprocal_dynamic_range=float(b.reciprocal_dynamic_range[0]),
+        feasible=bool(b.feasible[0]),
+    )
 
 
 def message_power(p: DesignProblem, s) -> float:
     """Total spectral power of s over the message band."""
-    mags = band_magnitudes(p, s, p.message)
-    return float(np.sum(mags**2))
+    return metric_bundle(p, s).message_power
 
 
 def interferer_power(p: DesignProblem, s) -> float:
     """Total spectral power of s over the interferer band; 0 for an empty band."""
-    if len(p.interferer) == 0:
-        as_sequence(p, s)
-        return 0.0
-    mags = band_magnitudes(p, s, p.interferer)
-    return float(np.sum(mags**2))
+    return metric_bundle(p, s).interferer_power
 
 
 def rejection_ratio(p: DesignProblem, s) -> float:
     """Smallest message-bin magnitude over largest interferer-bin magnitude.
 
-    Returns +inf when the interferer band is empty or its spectrum is
-    nulled (zero up to roundoff) while the message band stays alive: a
-    perfect notch under a live message is the best possible case. A
-    sequence that also nulls the message band (0/0, e.g. the constant
-    sequence against bands away from DC) scores 0, never +inf; it is
-    worthless as a design even though its interferer band is silent.
+    +inf for a perfect notch under a live message band, 0 when both
+    bands are nulled; see band_metrics.
     """
-    msg = band_magnitudes(p, s, p.message)
-    tol = null_tolerance(p.n)
-    if len(p.interferer) == 0:
-        return math.inf if float(np.min(msg)) > tol else 0.0
-    intf = band_magnitudes(p, s, p.interferer)
-    denom = float(np.max(intf))
-    if denom <= tol:
-        return math.inf if float(np.min(msg)) > tol else 0.0
-    return float(np.min(msg)) / denom
+    return metric_bundle(p, s).rejection_ratio
 
 
 def reciprocal_dynamic_range(p: DesignProblem, s) -> float:
     """Smallest over largest message-bin magnitude, in [0, 1]; 0/0 maps to 0."""
-    if len(p.message) == 0:
-        raise EmptyMessageError("message band is empty")
-    mags = band_magnitudes(p, s, p.message)
-    top = float(np.max(mags))
-    if top <= null_tolerance(p.n):
-        return 0.0
-    return float(np.min(mags)) / top
-
-
-def metric_bundle(p: DesignProblem, s) -> MetricBundle:
-    """Compute all metrics of s in one pass over the two band spectra."""
-    arr = as_sequence(p, s)
-    tol = null_tolerance(p.n)
-    msg = band_magnitudes(p, arr, p.message)
-    f_val = float(np.sum(msg**2))
-    low = float(np.min(msg))
-    if len(p.interferer) == 0:
-        g_val = 0.0
-        rho = math.inf if low > tol else 0.0
-    else:
-        intf = band_magnitudes(p, arr, p.interferer)
-        g_val = float(np.sum(intf**2))
-        denom = float(np.max(intf))
-        if denom <= tol:
-            rho = math.inf if low > tol else 0.0
-        else:
-            rho = low / denom
-    top = float(np.max(msg))
-    chi = 0.0 if top <= tol else low / top
-    return MetricBundle(
-        message_power=f_val,
-        interferer_power=g_val,
-        rejection_ratio=rho,
-        reciprocal_dynamic_range=chi,
-        feasible=bool(g_val <= p.alpha),
-    )
+    return metric_bundle(p, s).reciprocal_dynamic_range
 
 
 def sequence_line(s) -> str:

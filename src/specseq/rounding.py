@@ -3,25 +3,27 @@
 Each trial draws a standard normal vector v from its own substream
 (seed XOR trial index, so trials are reproducible independently of
 batching), projects it through the relaxation factor, and quantizes the
-signs. Candidates whose interferer power stays below the full tolerance
-alpha are feasible; the best feasible candidate under the chosen score
-wins, with ties broken by the lower trial index.
+signs. Candidates whose interferer power stays within the full tolerance
+alpha are feasible (problem.band_metrics scores them and holds that
+rule); the best feasible candidate under the chosen score wins, with
+ties broken by the lower trial index.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import DegenerateObjectiveError, EmptyInterfererError, RankZeroError
 from .problem import (
+    BandMetrics,
     DesignProblem,
     MetricBundle,
     ScoreKind,
+    band_metrics,
     metric_bundle,
-    null_tolerance,
     validate_problem,
 )
 from .sdp import SdpSolution
@@ -54,14 +56,9 @@ class Candidate:
 
 
 @dataclass(frozen=True)
-class TrialTable:
+class TrialTable(BandMetrics):
     """Per-trial metric arrays retained for experiment harnesses."""
 
-    message_power: np.ndarray
-    interferer_power: np.ndarray
-    rejection_ratio: np.ndarray
-    reciprocal_dynamic_range: np.ndarray
-    feasible: np.ndarray
     gamma: np.ndarray | None
 
 
@@ -107,35 +104,6 @@ def _trial_normals(seed: int, start: int, count: int, n: int) -> np.ndarray:
     return v
 
 
-def _batch_band_power(signs: np.ndarray, cols: np.ndarray):
-    """Per-row band magnitudes and total power for a block of sequences."""
-    if cols.shape[1] == 0:
-        zeros = np.zeros(signs.shape[0])
-        return np.zeros((signs.shape[0], 0)), zeros
-    re = signs @ cols.real
-    im = signs @ cols.imag
-    sq = re**2 + im**2
-    return np.sqrt(sq), sq.sum(axis=1)
-
-
-def _score_array(kind: ScoreKind, f, mag_m, mag_i, tol: float):
-    if kind is ScoreKind.MESSAGE_POWER:
-        return f
-    min_m = mag_m.min(axis=1)
-    if kind is ScoreKind.REJECTION_RATIO:
-        # nulled interferer with a live message is a perfect notch; a
-        # sequence that nulls the message too is worthless (0/0 -> 0)
-        perfect = np.where(min_m > tol, np.inf, 0.0)
-        if mag_i.shape[1] == 0:
-            return perfect
-        max_i = mag_i.max(axis=1)
-        null = max_i <= tol
-        return np.where(null, perfect, min_m / np.where(null, 1.0, max_i))
-    max_m = mag_m.max(axis=1)
-    null = max_m <= tol
-    return np.where(null, 0.0, min_m / np.where(null, 1.0, max_m))
-
-
 def run_design(
     p: DesignProblem,
     sol: SdpSolution,
@@ -150,48 +118,35 @@ def run_design(
     winner and summary statistics are kept.
     """
     validate_problem(p)
-    conj_m = build_partial_dft(p.n, p.message).columns.conj()
-    conj_i = build_partial_dft(p.n, p.interferer).columns.conj()
     factor_t = np.ascontiguousarray(sol.factor.T)
     objective = sol.objective
-    tol = null_tolerance(p.n)
 
     best_score = -math.inf
     best_seq = None
     best_trial = -1
     n_feasible = 0
     gamma_min = math.inf
-    kept = {"f": [], "g": [], "rho": [], "chi": [], "feasible": []} if retain else None
+    kept = []
 
     for start in range(0, p.trials, _CHUNK):
         count = min(_CHUNK, p.trials - start)
         v = _trial_normals(p.seed, start, count, p.n)
-        w = v @ factor_t
-        signs = np.where(w >= 0.0, 1.0, -1.0)
-        mag_m, f = _batch_band_power(signs, conj_m)
-        mag_i, g = _batch_band_power(signs, conj_i)
-        feasible = g <= p.alpha
+        signs = np.where(v @ factor_t >= 0.0, 1.0, -1.0)
+        scored = band_metrics(p, signs)
+        feasible = scored.feasible
         n_feasible += int(feasible.sum())
-        scores = _score_array(score, f, mag_m, mag_i, tol)
-        masked = np.where(feasible, scores, -np.inf)
-        idx = int(np.argmax(masked))
-        if masked[idx] > best_score:
-            best_score = float(masked[idx])
+        idx, chunk_best = scored.best_feasible(score)
+        if chunk_best > best_score:
+            best_score = chunk_best
             best_seq = signs[idx].astype(np.int8)
             best_trial = start + idx
         if feasible.any() and objective > _OBJECTIVE_FLOOR:
-            gamma_min = min(gamma_min, float(f[feasible].min()) / objective)
+            gamma_min = min(gamma_min, float(scored.message_power[feasible].min()) / objective)
         if retain:
-            kept["f"].append(f)
-            kept["g"].append(g)
-            kept["rho"].append(_score_array(ScoreKind.REJECTION_RATIO, f, mag_m, mag_i, tol))
-            kept["chi"].append(
-                _score_array(ScoreKind.RECIPROCAL_DYNAMIC_RANGE, f, mag_m, mag_i, tol)
-            )
-            kept["feasible"].append(feasible)
+            kept.append(scored)
 
     best = None
-    if best_seq is not None and best_score > -math.inf:
+    if best_seq is not None:
         metrics = metric_bundle(p, best_seq)
         gamma = None
         if objective > _OBJECTIVE_FLOOR:
@@ -202,16 +157,13 @@ def run_design(
 
     table = None
     if retain:
-        f_all = np.concatenate(kept["f"])
+        columns = {
+            f.name: np.concatenate([getattr(chunk, f.name) for chunk in kept])
+            for f in fields(BandMetrics)
+        }
+        f_all = columns["message_power"]
         gamma_all = f_all / objective if objective > _OBJECTIVE_FLOOR else None
-        table = TrialTable(
-            message_power=f_all,
-            interferer_power=np.concatenate(kept["g"]),
-            rejection_ratio=np.concatenate(kept["rho"]),
-            reciprocal_dynamic_range=np.concatenate(kept["chi"]),
-            feasible=np.concatenate(kept["feasible"]),
-            gamma=gamma_all,
-        )
+        table = TrialTable(**columns, gamma=gamma_all)
 
     return DesignResult(
         best=best,

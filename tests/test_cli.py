@@ -44,6 +44,26 @@ class TestDesign:
         assert data["score_kind"] == "MessagePower"
         assert data["n_trials"] == 300
 
+    def test_output_is_strict_json(self, tmp_path, capsys):
+        # the README problem: the relaxation nulls the interferer band, so
+        # beta is infinite and is written as the string "inf"
+        path = tmp_path / "readme.json"
+        path.write_text(
+            json.dumps(
+                {"n": 64, "message": [12, 13, 14, 20, 21, 22],
+                 "interferer": [5, 6, 7, 25, 26, 27], "alpha": 5.0,
+                 "trials": 10000, "seed": 0}
+            )
+        )
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        code, out, _ = run_cli(capsys, "design", str(path))
+        assert code == 0
+        data = json.loads(out, parse_constant=reject)
+        assert data["beta"] == "inf"
+
     def test_byte_identical_reruns(self, problem_config, capsys):
         _, out_a, _ = run_cli(capsys, "design", problem_config)
         _, out_b, _ = run_cli(capsys, "design", problem_config)

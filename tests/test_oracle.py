@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,10 @@ from specseq import (
     exhaustive_search,
     halved_constraint_optimum,
     metric_bundle,
+    run_design,
 )
+from specseq import rounding
+from specseq.sdp import SdpSolution
 
 
 def make_problem(n, message, interferer, alpha=1.0, seed=0):
@@ -108,3 +112,50 @@ class TestHalvedConstraintOptimum:
         signs, f, g, _, _, _ = brute_force(p)
         mask = g <= p.alpha / 2
         assert halved_constraint_optimum(p) == pytest.approx(f[mask].max(), rel=1e-10)
+
+
+def all_sequences(n):
+    """All 2^(n-1) sign rows with s_0 = +1, in lexicographic order (-1 first)."""
+    bits = np.arange(1 << (n - 1))[:, None] >> np.arange(n - 2, -1, -1)[None, :] & 1
+    return np.hstack([np.ones((1 << (n - 1), 1)), bits * 2.0 - 1.0])
+
+
+class TestFeasibilityOnTheBoundary:
+    # 308 of the 2^15 sequences have interferer power exactly alpha; 30538
+    # are feasible in exact arithmetic (checked at 40 digits)
+    P = make_problem(16, (1, 8), (4, 6), alpha=4.0)
+
+    def test_every_path_counts_the_exact_feasible_set(self, monkeypatch):
+        p = replace(self.P, trials=1 << 15)
+        rows = all_sequences(16)
+        assert exhaustive_search(p).n_feasible == 30538
+        assert sum(metric_bundle(p, s).feasible for s in rows) == 30538
+
+        # run_design with an identity factor and its normals replaced by
+        # the enumerated rows scores every sequence through its own path
+        monkeypatch.setattr(
+            rounding, "_trial_normals", lambda seed, start, count, n: rows[start : start + count]
+        )
+        eye = np.eye(16)
+        sol = SdpSolution(eye, 1.0, 1.0, eye, 16, 0.0, 0.0)
+        assert run_design(p, sol).n_feasible == 30538
+
+    def test_exact_nulls_are_feasible_at_alpha_zero(self):
+        # 162 sequences null both interferer bins exactly (checked at 40
+        # digits); their computed power is roundoff above 0, and the
+        # halved bound alpha/2 = 0 takes the same slack
+        p = replace(self.P, alpha=0.0)
+        out = exhaustive_search(p)
+        assert out.n_feasible == 162
+        assert out.best_by_power[1].message_power == pytest.approx(16.0, rel=1e-12)
+        assert halved_constraint_optimum(p) == pytest.approx(16.0, rel=1e-12)
+
+
+class TestTieBreak:
+    def test_ties_go_to_the_lex_smaller_sequence(self):
+        # one message bin and no interferer: every sequence that does not
+        # null bin 1 has chi == 1 exactly, and [1, -1, -1, -1] is the
+        # lex-smallest of them
+        out = exhaustive_search(make_problem(4, (1,), ()))
+        assert out.best_by_chi[1].reciprocal_dynamic_range == 1.0
+        assert out.best_by_chi[0].tolist() == [1, -1, -1, -1]

@@ -12,6 +12,7 @@ from specseq import (
     MetricBundle,
     OverlapError,
     ScoreKind,
+    band_metrics,
     interferer_power,
     message_power,
     metric_bundle,
@@ -243,3 +244,88 @@ class TestSerialization:
 
     def test_sequence_line(self):
         assert sequence_line(np.array([1, -1, 1])) == "1 -1 1"
+
+
+def naive_metrics(p, s):
+    """Metrics of one row by the naive DFT and the documented null rules."""
+    tol = 1e-12 * math.sqrt(p.n)
+    msg = np.array([naive_magnitude(s, k) for k in p.message])
+    intf = np.array([naive_magnitude(s, k) for k in p.interferer])
+    g = float(np.sum(intf**2))
+    max_i = float(intf.max()) if intf.size else 0.0
+    if max_i <= tol:
+        rho = math.inf if msg.min() > tol else 0.0
+    else:
+        rho = msg.min() / max_i
+    chi = 0.0 if msg.max() <= tol else msg.min() / msg.max()
+    return float(np.sum(msg**2)), g, rho, chi
+
+
+class TestBandMetrics:
+    @pytest.mark.parametrize(
+        "n, message, interferer",
+        [(16, (2, 3), (6, 7)), (15, (1, 4, 7), (10, 11)), (64, tuple(range(10, 20)), (30, 31))],
+    )
+    def test_rows_match_metric_bundle(self, n, message, interferer):
+        p = make_problem(n, message, interferer, alpha=2.0)
+        rng = np.random.default_rng(12)
+        rows = rng.integers(0, 2, (40, n)) * 2.0 - 1.0
+        unimodular = np.exp(2j * np.pi * rng.random((40, n)))
+        for block in (rows, unimodular):
+            metrics = band_metrics(p, block)
+            for i, s in enumerate(block):
+                b = metric_bundle(p, s)
+                for name in ("message_power", "interferer_power", "rejection_ratio",
+                             "reciprocal_dynamic_range"):
+                    assert getattr(metrics, name)[i] == pytest.approx(
+                        getattr(b, name), rel=1e-12, abs=1e-12
+                    )
+                assert metrics.feasible[i] == b.feasible
+
+    @pytest.mark.parametrize(
+        "n, message, interferer",
+        [
+            (8, (0,), (4,)),  # DC message, Nyquist interferer
+            (8, (4,), (0, 1)),  # Nyquist message
+            (8, (1, 3), ()),  # empty interferer band
+            (9, (2, 4), (1,)),  # odd n
+            (16, (2, 3), (6, 7)),  # the constant row nulls the message (0/0)
+        ],
+    )
+    def test_edge_bins_match_naive_dft(self, n, message, interferer):
+        p = make_problem(n, message, interferer)
+        rng = np.random.default_rng(n)
+        signs = np.vstack(
+            [np.ones(n), np.resize([1.0, -1.0], n), rng.integers(0, 2, (20, n)) * 2.0 - 1.0]
+        )
+        unimodular = np.exp(2j * np.pi * rng.random((5, n)))
+        for block in (signs, unimodular):
+            metrics = band_metrics(p, block)
+            for i, s in enumerate(block):
+                # F_k^H s with F_k = exp(-2j pi k i / n) / sqrt(n) has the
+                # magnitude of the naive transform of conj(s) at bin k
+                f, g, rho, chi = naive_metrics(p, s.conj())
+                assert metrics.message_power[i] == pytest.approx(f, abs=1e-12)
+                assert metrics.interferer_power[i] == pytest.approx(g, abs=1e-12)
+                assert metrics.rejection_ratio[i] == pytest.approx(rho, rel=1e-9, abs=1e-12)
+                assert metrics.reciprocal_dynamic_range[i] == pytest.approx(
+                    chi, rel=1e-9, abs=1e-12
+                )
+
+    def test_feasibility_slack(self):
+        # the constant row has interferer power 8 at DC; the slack at
+        # alpha near 8 is 8e-9, so it is feasible 4e-9 below and not 2e-8 below
+        ones = np.ones((1, 8))
+        assert band_metrics(make_problem(8, (1,), (0,), alpha=8.0 - 4e-9), ones).feasible[0]
+        assert not band_metrics(make_problem(8, (1,), (0,), alpha=8.0 - 2e-8), ones).feasible[0]
+
+    def test_shape_and_band_errors(self):
+        p = make_problem(8, (1,), (2,))
+        with pytest.raises(LengthMismatchError):
+            band_metrics(p, np.ones((3, 7)))
+        with pytest.raises(LengthMismatchError):
+            band_metrics(p, np.ones(8))
+        with pytest.raises(EmptyMessageError):
+            band_metrics(make_problem(8, (), (2,)), np.ones((1, 8)))
+        with pytest.raises(EmptyMessageError):
+            message_power(make_problem(8, (), (2,)), np.ones(8))
