@@ -22,7 +22,6 @@ from .errors import (
     InfeasibleRelaxationError,
     LengthMismatchError,
     NoFeasibleError,
-    NonConvergenceError,
     OverlapError,
     RankZeroError,
     SizeLimitError,
@@ -64,15 +63,7 @@ from .rounding import (
     sample_candidate,
 )
 from .sdp import SdpSolution, kkt_residuals, solve_relaxation
-from .spectral import (
-    EigenFactorization,
-    GramMatrix,
-    PartialDftBasis,
-    build_partial_dft,
-    eigh,
-    full_spectrum,
-    gram,
-)
+from .spectral import GramMatrix, PartialDftBasis, build_partial_dft, gram
 
 #: the public API; the submodules stay importable as specseq.<module>
 __all__ = [
@@ -84,7 +75,7 @@ __all__ = [
     # errors
     "DegenerateObjectiveError", "DivergenceError", "EmptyInterfererError",
     "EmptyMessageError", "InfeasibleRelaxationError", "LengthMismatchError",
-    "NoFeasibleError", "NonConvergenceError", "OverlapError", "RankZeroError",
+    "NoFeasibleError", "OverlapError", "RankZeroError",
     "SizeLimitError", "SpecseqError", "ZeroScaleError", "ZeroSpectrumError",
     # experiment harnesses
     "ExperimentConfig", "ExperimentKind", "ExperimentReport", "default_config",
@@ -101,7 +92,6 @@ __all__ = [
     "sample_candidate",
     # the relaxation
     "SdpSolution", "kkt_residuals", "solve_relaxation",
-    # partial DFTs, Gram matrices, eigendecomposition
-    "EigenFactorization", "GramMatrix", "PartialDftBasis", "build_partial_dft", "eigh",
-    "full_spectrum", "gram",
+    # partial DFTs and Gram matrices
+    "GramMatrix", "PartialDftBasis", "build_partial_dft", "gram",
 ]

@@ -7,6 +7,10 @@ binary-constrained form. SHAPE is block coordinate descent on
 sequence s; every step is an exact block minimizer, so the objective
 never increases. LPNN runs Euler dynamics on an augmented Lagrangian
 with per-entry modulus constraints.
+
+Both work with the unitary DFT F[i, k] = exp(-2j*pi*i*k/n)/sqrt(n), whose
+products are FFTs: F^H s is ``np.fft.ifft(s, norm="ortho")`` and F x is
+``np.fft.fft(x, norm="ortho")``.
 """
 
 from __future__ import annotations
@@ -17,10 +21,12 @@ import numpy as np
 
 from .errors import DivergenceError, ZeroScaleError, ZeroSpectrumError
 from .problem import DesignProblem, MetricBundle, metric_bundle, validate_problem
-from .spectral import full_dft
 
 #: stands in for an unbounded upper magnitude; never binds since |F_i^H s| <= sqrt(n)
 UNBOUNDED = 1e6
+
+#: weight of the squared modulus penalty in LPNN's augmented Lagrangian
+LPNN_AUGMENT = 10.0
 
 _SHAPE_STREAM = 101
 _LPNN_STREAM = 202
@@ -84,8 +90,18 @@ def shape_bounds_from_problem(p: DesignProblem) -> ShapeBounds:
     return ShapeBounds(upper=upper, lower=lower)
 
 
-def _objective(f: np.ndarray, state_seq, spectrum, scale) -> float:
-    resid = f.conj().T @ state_seq - scale * spectrum
+def _analysis(s: np.ndarray) -> np.ndarray:
+    """F^H s."""
+    return np.fft.ifft(s, norm="ortho")
+
+
+def _synthesis(x: np.ndarray) -> np.ndarray:
+    """F x."""
+    return np.fft.fft(x, norm="ortho")
+
+
+def _objective(analysis: np.ndarray, spectrum, scale) -> float:
+    resid = analysis - scale * spectrum
     return float(np.sum(resid.real**2 + resid.imag**2))
 
 
@@ -93,9 +109,8 @@ def shape_spectrum_step(state: ShapeState, bounds: ShapeBounds) -> ShapeState:
     """Exact minimizer over the spectrum: radially clip F^H s / scale per bin."""
     if state.scale == 0:
         raise ZeroScaleError("scale factor is zero")
-    n = state.sequence.shape[0]
-    f = full_dft(n)
-    z = (f.conj().T @ state.sequence) / state.scale
+    analysis = _analysis(state.sequence)
+    z = analysis / state.scale
     mag = np.abs(z)
     phase = np.where(mag == 0.0, 1.0 + 0.0j, z / np.where(mag == 0.0, 1.0, mag))
     clipped = np.clip(mag, bounds.lower, bounds.upper)
@@ -104,7 +119,7 @@ def shape_spectrum_step(state: ShapeState, bounds: ShapeBounds) -> ShapeState:
         sequence=state.sequence,
         spectrum=x,
         scale=state.scale,
-        objective=_objective(f, state.sequence, x, state.scale),
+        objective=_objective(analysis, x, state.scale),
     )
 
 
@@ -113,14 +128,13 @@ def shape_scale_step(state: ShapeState) -> ShapeState:
     norm_sq = float(np.sum(state.spectrum.real**2 + state.spectrum.imag**2))
     if norm_sq == 0.0:
         raise ZeroSpectrumError("auxiliary spectrum is identically zero")
-    n = state.sequence.shape[0]
-    f = full_dft(n)
-    scale = complex(np.vdot(state.spectrum, f.conj().T @ state.sequence) / norm_sq)
+    analysis = _analysis(state.sequence)
+    scale = complex(np.vdot(state.spectrum, analysis) / norm_sq)
     return ShapeState(
         sequence=state.sequence,
         spectrum=state.spectrum,
         scale=scale,
-        objective=_objective(f, state.sequence, state.spectrum, scale),
+        objective=_objective(analysis, state.spectrum, scale),
     )
 
 
@@ -131,9 +145,7 @@ def shape_sequence_step(state: ShapeState, variant: str) -> ShapeState:
     of s: the unimodular minimizer is the phase of (scale * F x)_i, and
     the binary minimizer is the sign of its real part (sign(0) -> +1).
     """
-    n = state.sequence.shape[0]
-    f = full_dft(n)
-    target = state.scale * (f @ state.spectrum)
+    target = state.scale * _synthesis(state.spectrum)
     if variant == "unimodular":
         mag = np.abs(target)
         seq = np.where(mag == 0.0, 1.0 + 0.0j, target / np.where(mag == 0.0, 1.0, mag))
@@ -145,7 +157,7 @@ def shape_sequence_step(state: ShapeState, variant: str) -> ShapeState:
         sequence=seq,
         spectrum=state.spectrum,
         scale=state.scale,
-        objective=_objective(f, seq, state.spectrum, state.scale),
+        objective=_objective(_analysis(seq), state.spectrum, state.scale),
     )
 
 
@@ -218,23 +230,22 @@ def lpnn_increments(state: LpnnState, p: DesignProblem, target_spectrum: np.ndar
     products with the DFT basis, which is what is computed here.
     """
     n = p.n
-    f = full_dft(n)
     if state.neurons.shape[0] == 2 * n:
         c = _split(state.neurons)
-        y = f.conj().T @ c
+        y = _analysis(c)
         power = y.real**2 + y.imag**2
         r = state.weights * (power - state.scale * target_spectrum)
-        grad_c = 4.0 * (f @ (r * y))
+        grad_c = 4.0 * _synthesis(r * y)
         modulus = c.real**2 + c.imag**2
         grad_c += (4.0 * state.augment * (modulus - 1.0) + 2.0 * state.multipliers) * c
         d_neurons = -np.concatenate([grad_c.real, grad_c.imag])
         residual = modulus - 1.0
     elif state.neurons.shape[0] == n:
         s = state.neurons
-        y = f.conj().T @ s
+        y = _analysis(s)
         power = y.real**2 + y.imag**2
         r = state.weights * (power - state.scale * target_spectrum)
-        grad = 4.0 * (f @ (r * y)).real
+        grad = 4.0 * _synthesis(r * y).real
         grad += (4.0 * state.augment * (s**2 - 1.0) + 2.0 * state.multipliers) * s
         d_neurons = -grad
         residual = s**2 - 1.0
@@ -249,14 +260,14 @@ def run_lpnn(
     variant: str = "binary",
     max_iters: int = 10000,
     step: float = 1e-3,
-    c0: float = 10.0,
-    weights: np.ndarray | None = None,
 ) -> BaselineResult:
     """Euler dynamics on the augmented Lagrangian from a seeded random start.
 
-    Stops when the largest increment falls below 1e-8 or after max_iters
-    steps; raises DivergenceError if any neuron passes 1e6 in magnitude.
-    The trace records the worst modulus-constraint residual per step.
+    Every bin carries weight 1 and the modulus penalty weight is
+    LPNN_AUGMENT. Stops when the largest increment falls below 1e-8 or
+    after max_iters steps; raises DivergenceError if any neuron passes 1e6
+    in magnitude. The trace records the worst modulus-constraint residual
+    per step.
     """
     validate_problem(p)
     if variant not in ("binary", "unimodular"):
@@ -269,8 +280,8 @@ def run_lpnn(
         neurons=rng.standard_normal(dim),
         scale=float(rng.standard_normal()),
         multipliers=rng.standard_normal(p.n),
-        weights=np.ones(p.n) if weights is None else np.asarray(weights, dtype=float),
-        augment=c0,
+        weights=np.ones(p.n),
+        augment=LPNN_AUGMENT,
         step=step,
     )
 
@@ -281,13 +292,11 @@ def run_lpnn(
         state.neurons = state.neurons + step * d_neurons
         state.scale = state.scale + step * d_scale
         state.multipliers = state.multipliers + step * residual
-        trace.append(float(np.max(np.abs(residual))))
+        worst_residual = float(np.max(np.abs(residual)))
+        trace.append(worst_residual)
         if np.max(np.abs(state.neurons)) > 1e6:
             raise DivergenceError("neuron magnitude exceeded 1e6; reduce the step size")
-        largest = max(
-            float(np.max(np.abs(d_neurons))), abs(d_scale), float(np.max(np.abs(residual)))
-        )
-        if largest < 1e-8:
+        if max(float(np.max(np.abs(d_neurons))), abs(d_scale), worst_residual) < 1e-8:
             break
 
     if variant == "binary":

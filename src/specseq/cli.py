@@ -133,13 +133,7 @@ def cmd_shape(args) -> int:
 
 def cmd_lpnn(args) -> int:
     p = _load_problem(args)
-    result = baselines.run_lpnn(
-        p,
-        args.variant,
-        max_iters=args.lpnn_max_iters,
-        step=args.lpnn_step,
-        c0=args.lpnn_c0,
-    )
+    result = baselines.run_lpnn(p, args.variant, max_iters=args.lpnn_max_iters)
     _emit_baseline(result)
     return 0
 
@@ -218,8 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(sp, trials=False)
     sp.add_argument("--variant", choices=("binary", "unimodular"), default="binary")
     sp.add_argument("--lpnn-max-iters", type=int, default=10000)
-    sp.add_argument("--lpnn-step", type=float, default=1e-3)
-    sp.add_argument("--lpnn-c0", type=float, default=10.0)
     sp.set_defaults(func=cmd_lpnn)
 
     sp = sub.add_parser("experiment", help="run an experiment harness, write CSV")

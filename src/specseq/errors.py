@@ -21,10 +21,6 @@ class LengthMismatchError(SpecseqError):
     """A sequence does not have the length the problem expects."""
 
 
-class NonConvergenceError(SpecseqError):
-    """An iterative solver hit its iteration limit before reaching tolerance."""
-
-
 class InfeasibleRelaxationError(SpecseqError):
     """The relaxed program has no solution under the halved interferer bound."""
 

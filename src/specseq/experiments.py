@@ -65,8 +65,6 @@ class ExperimentConfig:
     paper_scale: bool = False
     shape_max_iters: int = 10000
     lpnn_max_iters: int = 10000
-    lpnn_step: float = 1e-3
-    lpnn_c0: float = 10.0
 
     def __post_init__(self):
         if len(self.sweep) == 0:
@@ -215,8 +213,6 @@ def config_from_json_dict(data: dict) -> ExperimentConfig:
         "paper_scale",
         "shape_max_iters",
         "lpnn_max_iters",
-        "lpnn_step",
-        "lpnn_c0",
     }
     unknown = set(data) - known
     if unknown:
@@ -235,7 +231,7 @@ def config_from_json_dict(data: dict) -> ExperimentConfig:
         updates["sweep"] = tuple(tuple(v) if isinstance(v, list) else v for v in sweep)
     if "repetitions" in data:
         updates["repetitions"] = int(data["repetitions"])
-    for name in ("shape_max_iters", "lpnn_max_iters", "lpnn_step", "lpnn_c0"):
+    for name in ("shape_max_iters", "lpnn_max_iters"):
         if name in data:
             updates[name] = type(getattr(base, name))(data[name])
     return replace(base, **updates)
@@ -656,10 +652,7 @@ def _baseline_job(args):
     ):
         t0 = time.perf_counter()
         try:
-            result = baselines.run_lpnn(
-                p, variant, max_iters=cfg.lpnn_max_iters,
-                step=cfg.lpnn_step, c0=cfg.lpnn_c0,
-            )
+            result = baselines.run_lpnn(p, variant, max_iters=cfg.lpnn_max_iters)
             out[method] = (result.metrics.rejection_ratio, time.perf_counter() - t0)
         except DivergenceError:
             out[method] = None

@@ -35,7 +35,10 @@ import numpy as np
 
 from .errors import InfeasibleRelaxationError
 from .problem import BandSpec, DesignProblem, validate_problem
-from .spectral import RANK_TOL, build_partial_dft, gram
+from .spectral import build_partial_dft, gram
+
+#: relative threshold on eigenvalues counted toward the numerical rank
+RANK_TOL = 1e-7
 
 #: cosine table entries below this are exact zeros of the cosine, so a
 #: quarter-period zero quantizes to +1 by the sign rule, not by roundoff

@@ -1,4 +1,4 @@
-"""Partial DFT bases, real Gram matrices, and symmetric eigendecomposition.
+"""Partial DFT bases and real Gram matrices.
 
 All downstream optimization works with the real symmetric Gram matrix
 Re(F F^H) of a band: for real x, x^T Re(F F^H) x equals ||F^H x||^2
@@ -7,19 +7,13 @@ exactly, so the lifted program stays a real symmetric one.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import NonConvergenceError
-
 if TYPE_CHECKING:
     from .problem import BandSpec
-
-#: relative threshold on eigenvalues counted toward the numerical rank
-RANK_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -39,15 +33,6 @@ class GramMatrix:
     values: np.ndarray
 
 
-@dataclass(frozen=True)
-class EigenFactorization:
-    """Eigenvalues in descending order, orthonormal eigenvectors as columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    rank: int
-
-
 def build_partial_dft(n: int, band) -> PartialDftBasis:
     """Build the n x |band| matrix of unit-norm DFT columns for the band bins."""
     bins = np.asarray(tuple(band), dtype=np.intp)
@@ -64,41 +49,3 @@ def gram(basis: PartialDftBasis) -> GramMatrix:
     g = np.real(c @ c.conj().T)
     g = (g + g.T) / 2.0
     return GramMatrix(n=basis.n, values=g)
-
-
-@functools.lru_cache(maxsize=8)
-def full_dft(n: int) -> np.ndarray:
-    """The full n x n unitary DFT matrix (cached, read-only)."""
-    i = np.arange(n)
-    f = np.exp(-2j * np.pi * np.outer(i, i) / n) / np.sqrt(n)
-    f.setflags(write=False)
-    return f
-
-
-def full_spectrum(n: int, s) -> np.ndarray:
-    """All n spectrum magnitudes |F_k^H s| of a length-n sequence."""
-    arr = np.asarray(s)
-    if arr.shape != (n,):
-        raise ValueError(f"expected shape ({n},), got {arr.shape}")
-    return np.abs(full_dft(n).conj().T @ arr)
-
-
-def eigh(m: np.ndarray, rank_tol: float = RANK_TOL) -> EigenFactorization:
-    """Symmetric eigendecomposition with descending eigenvalues.
-
-    The input is symmetrized as (M + M^T)/2 first. Eigenvalues in
-    (-clamp_tol, 0) are snapped to zero, with clamp_tol = 1e-8 * max(l1, 1),
-    so factors of nearly-PSD matrices have real square roots. The rank is
-    the count of eigenvalues above rank_tol * l1.
-    """
-    sym = (m + m.T) / 2.0
-    try:
-        w, v = np.linalg.eigh(sym)
-    except np.linalg.LinAlgError as exc:
-        raise NonConvergenceError(f"eigendecomposition failed: {exc}") from exc
-    w = w[::-1].copy()
-    v = v[:, ::-1].copy()
-    clamp_tol = 1e-8 * max(float(w[0]), 1.0)
-    w[(w > -clamp_tol) & (w < 0.0)] = 0.0
-    rank = int(np.count_nonzero(w > rank_tol * max(float(w[0]), 0.0)))
-    return EigenFactorization(eigenvalues=w, eigenvectors=v, rank=rank)

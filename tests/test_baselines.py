@@ -15,17 +15,21 @@ from specseq import (
     shape_sequence_step,
     shape_spectrum_step,
 )
-from specseq.baselines import UNBOUNDED, lpnn_target_spectrum
-from specseq.spectral import full_dft
+from specseq.baselines import LPNN_AUGMENT, UNBOUNDED, lpnn_target_spectrum
 
 
 def make_problem(n, message, interferer, alpha=1.0, seed=0):
     return DesignProblem(n, BandSpec(message), BandSpec(interferer), alpha, 10, seed)
 
 
+def dense_dft(n):
+    """The unitary DFT from its definition: F[i, k] = exp(-2j*pi*i*k/n)/sqrt(n)."""
+    i = np.arange(n)
+    return np.exp(-2j * np.pi * np.outer(i, i) / n) / np.sqrt(n)
+
+
 def objective_of(state):
-    n = state.sequence.shape[0]
-    f = full_dft(n)
+    f = dense_dft(state.sequence.shape[0])
     return float(np.sum(np.abs(f.conj().T @ state.sequence - state.scale * state.spectrum) ** 2))
 
 
@@ -76,7 +80,7 @@ class TestShapeSteps:
         state = random_state(8, 1)
         state.scale = 1.0 + 0.0j
         new = shape_spectrum_step(state, bounds)
-        f = full_dft(8)
+        f = dense_dft(8)
         z = f.conj().T @ state.sequence
         free = [i for i in range(8) if i != 1]
         assert np.allclose(new.spectrum[free], z[free])
@@ -99,7 +103,7 @@ class TestShapeSteps:
 
     def test_scale_step_exact_fit(self):
         state = random_state(8, 3)
-        f = full_dft(8)
+        f = dense_dft(8)
         state.spectrum = f.conj().T @ state.sequence
         new = shape_scale_step(state)
         assert new.scale == pytest.approx(1.0 + 0.0j, abs=1e-12)
@@ -149,6 +153,91 @@ class TestShapeSteps:
             assert new.objective <= state.objective + 1e-9
 
 
+def assert_matches(actual, expected):
+    """Agreement to 1e-12 relative to the larger of 1 and the largest expected entry."""
+    expected = np.asarray(expected)
+    assert np.max(np.abs(np.asarray(actual) - expected)) <= 1e-12 * max(
+        1.0, float(np.max(np.abs(expected)))
+    )
+
+
+def dense_lpnn_increments(state, p, target_spectrum):
+    """lpnn_increments written with products by the dense DFT."""
+    n = p.n
+    f = dense_dft(n)
+    if state.neurons.shape[0] == 2 * n:
+        c = state.neurons[:n] + 1j * state.neurons[n:]
+    else:
+        c = state.neurons.astype(complex)
+    y = f.conj().T @ c
+    r = state.weights * (np.abs(y) ** 2 - state.scale * target_spectrum)
+    modulus = np.abs(c) ** 2
+    penalty = 4.0 * state.augment * (modulus - 1.0) + 2.0 * state.multipliers
+    grad = 4.0 * (f @ (r * y)) + penalty * c
+    if state.neurons.shape[0] == 2 * n:
+        d_neurons = -np.concatenate([grad.real, grad.imag])
+    else:
+        d_neurons = -grad.real
+    return d_neurons, 2.0 * float(np.sum(r * target_spectrum)), modulus - 1.0
+
+
+class TestDenseDefinition:
+    """The FFT-based steps against the dense DFT definition, at odd n and at n=1."""
+
+    @staticmethod
+    def problem(n):
+        return make_problem(9, (1, 2), (4, 6)) if n == 9 else make_problem(1, (0,), ())
+
+    @pytest.mark.parametrize("n", [9, 1])
+    @pytest.mark.parametrize("binary", [False, True])
+    def test_shape_steps(self, n, binary):
+        bounds = shape_bounds_from_problem(self.problem(n))
+        f = dense_dft(n)
+        state = random_state(n, 40 + n, binary=binary)
+
+        new = shape_spectrum_step(state, bounds)
+        z = (f.conj().T @ state.sequence) / state.scale
+        clipped = np.clip(np.abs(z), bounds.lower, bounds.upper)
+        assert_matches(new.spectrum, z / np.abs(z) * clipped)
+        assert_matches(new.objective, objective_of(new))
+
+        state = new
+        new = shape_scale_step(state)
+        assert_matches(
+            new.scale, np.vdot(state.spectrum, f.conj().T @ state.sequence)
+            / np.vdot(state.spectrum, state.spectrum).real
+        )
+        assert_matches(new.objective, objective_of(new))
+
+        state = new
+        variant = "binary" if binary else "unimodular"
+        new = shape_sequence_step(state, variant)
+        target = state.scale * (f @ state.spectrum)
+        if binary:
+            assert np.array_equal(new.sequence, np.where(target.real >= 0.0, 1.0, -1.0))
+        else:
+            assert_matches(new.sequence, target / np.abs(target))
+        assert_matches(new.objective, objective_of(new))
+
+    @pytest.mark.parametrize("n", [9, 1])
+    @pytest.mark.parametrize("binary", [False, True])
+    def test_lpnn_increments(self, n, binary):
+        p = self.problem(n)
+        target = lpnn_target_spectrum(p, shape_bounds_from_problem(p))
+        rng = np.random.default_rng(50 + n)
+        state = LpnnState(
+            neurons=rng.standard_normal(n if binary else 2 * n),
+            scale=float(rng.standard_normal()),
+            multipliers=rng.standard_normal(n),
+            weights=np.ones(n),
+            augment=LPNN_AUGMENT,
+            step=1e-3,
+        )
+        got = lpnn_increments(state, p, target)
+        for actual, expected in zip(got, dense_lpnn_increments(state, p, target)):
+            assert_matches(actual, expected)
+
+
 class TestRunShape:
     def test_objective_trace_monotone(self):
         p = make_problem(16, (2, 3), (6, 7), alpha=2.0, seed=11)
@@ -189,8 +278,8 @@ class TestRunShape:
 
 
 class TestLpnnIncrements:
-    def lagrangian(self, p, neurons, scale, multipliers, target, c0=10.0):
-        f = full_dft(p.n)
+    def lagrangian(self, p, neurons, scale, multipliers, target, c0=LPNN_AUGMENT):
+        f = dense_dft(p.n)
         if neurons.shape[0] == 2 * p.n:
             c = neurons[: p.n] + 1j * neurons[p.n :]
             modulus = np.abs(c) ** 2

@@ -63,6 +63,12 @@ class TestConfigParsing:
         with pytest.raises(ValueError):
             ex.config_from_json_dict({"kind": "FeasibilityVsAlpha", "bogus": 1})
 
+    @pytest.mark.parametrize("name", ["lpnn_step", "lpnn_c0"])
+    def test_fixed_lpnn_constants_rejected(self, name):
+        # LPNN's step and penalty weight are constants of the harness
+        with pytest.raises(ValueError, match="unknown experiment fields"):
+            ex.config_from_json_dict({"kind": "BaselineComparison", name: 1e-3})
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             ex.config_from_json_dict({"kind": "NotAThing"})

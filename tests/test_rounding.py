@@ -22,8 +22,7 @@ from specseq import (
     sample_candidate,
     solve_relaxation,
 )
-from specseq.sdp import SdpSolution
-from specseq.spectral import eigh
+from specseq.sdp import RANK_TOL, SdpSolution
 
 
 def make_problem(n, message, interferer, alpha=1.0, trials=100, seed=0):
@@ -33,8 +32,9 @@ def make_problem(n, message, interferer, alpha=1.0, trials=100, seed=0):
 def solution_from_matrix(matrix, p):
     """Wrap an arbitrary unit-diagonal PSD matrix as a relaxation solution."""
     matrix = np.asarray(matrix, dtype=float)
-    ef = eigh(matrix)
-    factor = ef.eigenvectors * np.sqrt(np.maximum(ef.eigenvalues, 0.0))[None, :]
+    w, v = np.linalg.eigh((matrix + matrix.T) / 2.0)
+    w, v = w[::-1], v[:, ::-1]
+    factor = v * np.sqrt(np.maximum(w, 0.0))[None, :]
     a_m = gram(build_partial_dft(p.n, p.message)).values
     a_i = gram(build_partial_dft(p.n, p.interferer)).values
     return SdpSolution(
@@ -42,7 +42,7 @@ def solution_from_matrix(matrix, p):
         objective=float(np.sum(a_m * matrix)),
         interferer_trace=float(np.sum(a_i * matrix)),
         factor=factor,
-        rank=ef.rank,
+        rank=int(np.count_nonzero(w > RANK_TOL * max(float(w[0]), 0.0))),
         kkt_residual=0.0,
         dual_multiplier=0.0,
     )
