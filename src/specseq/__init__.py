@@ -44,6 +44,7 @@ from .problem import (
     MetricBundle,
     ScoreKind,
     band_metrics,
+    build_partial_dft,
     interferer_power,
     message_power,
     metric_bundle,
@@ -62,8 +63,7 @@ from .rounding import (
     run_design,
     sample_candidate,
 )
-from .sdp import SdpSolution, kkt_residuals, solve_relaxation
-from .spectral import GramMatrix, PartialDftBasis, build_partial_dft, gram
+from .sdp import SdpSolution, solve_relaxation
 
 #: the public API; the submodules stay importable as specseq.<module>
 __all__ = [
@@ -84,14 +84,12 @@ __all__ = [
     "OracleResult", "exhaustive_search", "halved_constraint_optimum",
     # problems, the metric kernel and the scalar metrics
     "BandMetrics", "BandSpec", "DesignProblem", "MetricBundle", "ScoreKind",
-    "band_metrics", "interferer_power", "message_power", "metric_bundle",
+    "band_metrics", "build_partial_dft", "interferer_power", "message_power", "metric_bundle",
     "rejection_ratio", "reciprocal_dynamic_range", "sequence_line", "validate_problem",
     # randomized rounding and theory quantities
     "Candidate", "DesignResult", "approximation_ratio", "arcsin_trace_ratio",
     "mcdiarmid_bound", "quantized_principal_eigenvector", "run_design",
     "sample_candidate",
     # the relaxation
-    "SdpSolution", "kkt_residuals", "solve_relaxation",
-    # partial DFTs and Gram matrices
-    "GramMatrix", "PartialDftBasis", "build_partial_dft", "gram",
+    "SdpSolution", "solve_relaxation",
 ]

@@ -25,7 +25,6 @@ from . import baselines, oracle, rounding, sdp
 from ._version import __version__
 from .errors import DivergenceError, InfeasibleRelaxationError, NoFeasibleError
 from .problem import BandSpec, DesignProblem, ScoreKind, band_metrics
-from .spectral import build_partial_dft, gram
 
 #: reference length the published band layouts are given for
 _REFERENCE_N = 128
@@ -430,8 +429,7 @@ def _beta_cell(args):
         s = s / np.outer(d, d)
         np.fill_diagonal(s, 1.0)
         start = int(rng.integers(0, n - k + 1))
-        a = gram(build_partial_dft(n, BandSpec(tuple(range(start, start + k))))).values
-        values[i] = rounding.arcsin_trace_ratio(s, a)
+        values[i] = rounding.arcsin_trace_ratio(s, BandSpec(tuple(range(start, start + k))))
     label = f"n{n}_K{k}_R{rank}"
     finite = values[np.isfinite(values)]
     below = float(np.mean(values < math.pi - 1.0))

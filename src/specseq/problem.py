@@ -17,7 +17,6 @@ from enum import Enum
 import numpy as np
 
 from .errors import EmptyMessageError, LengthMismatchError, OverlapError
-from .spectral import build_partial_dft
 
 
 @dataclass(frozen=True)
@@ -182,6 +181,15 @@ def as_sequence(p: DesignProblem, s) -> np.ndarray:
     return arr
 
 
+def build_partial_dft(n: int, band) -> np.ndarray:
+    """The n x |band| unit-norm DFT columns exp(-2j*pi*k*i/n)/sqrt(n) of the band bins k."""
+    bins = np.asarray(tuple(band), dtype=np.intp)
+    if bins.size and (bins.min() < 0 or bins.max() >= n):
+        raise IndexError(f"band {tuple(band)} out of range for n={n}")
+    i = np.arange(n)[:, None]
+    return np.exp(-2j * np.pi * i * bins[None, :] / n) / np.sqrt(n)
+
+
 def null_tolerance(n: int) -> float:
     """Magnitudes at or below this are exact spectral nulls up to roundoff.
 
@@ -210,6 +218,16 @@ class BandMetrics:
         idx = int(np.argmax(masked))
         return idx, float(masked[idx])
 
+    def row(self, i: int) -> MetricBundle:
+        """The metrics of row i, exactly as stored in the block."""
+        return MetricBundle(
+            message_power=float(self.message_power[i]),
+            interferer_power=float(self.interferer_power[i]),
+            rejection_ratio=float(self.rejection_ratio[i]),
+            reciprocal_dynamic_range=float(self.reciprocal_dynamic_range[i]),
+            feasible=bool(self.feasible[i]),
+        )
+
 
 def band_metrics(p: DesignProblem, signs) -> BandMetrics:
     """All metrics of each row of a (B, n) block of sequences.
@@ -234,7 +252,7 @@ def band_metrics(p: DesignProblem, signs) -> BandMetrics:
     n_m = len(p.message)
     if n_m == 0:
         raise EmptyMessageError("message band is empty")
-    conj = build_partial_dft(p.n, p.message.indices + p.interferer.indices).columns.conj()
+    conj = build_partial_dft(p.n, p.message.indices + p.interferer.indices).conj()
     n_bins = conj.shape[1]
     basis = np.hstack([conj.real, conj.imag])
     if np.iscomplexobj(rows):
@@ -243,8 +261,11 @@ def band_metrics(p: DesignProblem, signs) -> BandMetrics:
         re = y_re[:, :n_bins] - y_im[:, n_bins:]
         im = y_re[:, n_bins:] + y_im[:, :n_bins]
     else:
-        y = rows @ basis
-        re, im = y[:, :n_bins], y[:, n_bins:]
+        # numpy hands a lone row to gemv, which sums in another order than
+        # the gemm that multiplies a block; a lone row goes in as a block
+        # of two so that metric_bundle scores like the blocks of run_design
+        y = (np.vstack([rows, rows]) if len(rows) == 1 else rows) @ basis
+        re, im = y[: len(rows), :n_bins], y[: len(rows), n_bins:]
     sq = re**2 + im**2
     mags = np.sqrt(sq)
     mag_m, mag_i = mags[:, :n_m], mags[:, n_m:]
@@ -269,14 +290,7 @@ def band_metrics(p: DesignProblem, signs) -> BandMetrics:
 
 def metric_bundle(p: DesignProblem, s) -> MetricBundle:
     """All metrics of one sequence: the single-row case of band_metrics."""
-    b = band_metrics(p, as_sequence(p, s)[None, :])
-    return MetricBundle(
-        message_power=float(b.message_power[0]),
-        interferer_power=float(b.interferer_power[0]),
-        rejection_ratio=float(b.rejection_ratio[0]),
-        reciprocal_dynamic_range=float(b.reciprocal_dynamic_range[0]),
-        feasible=bool(b.feasible[0]),
-    )
+    return band_metrics(p, as_sequence(p, s)[None, :]).row(0)
 
 
 def message_power(p: DesignProblem, s) -> float:

@@ -6,7 +6,8 @@ batching), projects it through the relaxation factor, and quantizes the
 signs. Candidates whose interferer power stays within the full tolerance
 alpha are feasible (problem.band_metrics scores them and holds that
 rule); the best feasible candidate under the chosen score wins, with
-ties broken by the lower trial index.
+ties broken by the lower trial index, and keeps the metrics of its row
+in the scored block, the values it was selected by.
 """
 
 from __future__ import annotations
@@ -23,11 +24,11 @@ from .problem import (
     MetricBundle,
     ScoreKind,
     band_metrics,
+    build_partial_dft,
     metric_bundle,
     validate_problem,
 )
 from .sdp import SdpSolution
-from .spectral import GramMatrix, build_partial_dft, gram
 
 #: trials are evaluated in fixed-size blocks; block boundaries never
 #: affect results because every trial has its own substream
@@ -123,6 +124,7 @@ def run_design(
 
     best_score = -math.inf
     best_seq = None
+    best_metrics = None
     best_trial = -1
     n_feasible = 0
     gamma_min = math.inf
@@ -139,6 +141,7 @@ def run_design(
         if chunk_best > best_score:
             best_score = chunk_best
             best_seq = signs[idx].astype(np.int8)
+            best_metrics = scored.row(idx)
             best_trial = start + idx
         if feasible.any() and objective > _OBJECTIVE_FLOOR:
             gamma_min = min(gamma_min, float(scored.message_power[feasible].min()) / objective)
@@ -147,12 +150,11 @@ def run_design(
 
     best = None
     if best_seq is not None:
-        metrics = metric_bundle(p, best_seq)
         gamma = None
         if objective > _OBJECTIVE_FLOOR:
-            gamma = metrics.message_power / objective
+            gamma = best_metrics.message_power / objective
         best = Candidate(
-            sequence=best_seq, metrics=metrics, trial_index=best_trial, gamma=gamma
+            sequence=best_seq, metrics=best_metrics, trial_index=best_trial, gamma=gamma
         )
 
     table = None
@@ -171,14 +173,10 @@ def run_design(
         n_trials=p.trials,
         feasibility_rate=n_feasible / p.trials,
         gamma_min_feasible=None if math.isinf(gamma_min) else gamma_min,
-        beta=arcsin_trace_ratio(sol, _interferer_gram(p)),
+        beta=arcsin_trace_ratio(sol.matrix, p.interferer),
         score_kind=score,
         trial_table=table,
     )
-
-
-def _interferer_gram(p: DesignProblem) -> GramMatrix:
-    return gram(build_partial_dft(p.n, p.interferer))
 
 
 def quantized_principal_eigenvector(p: DesignProblem, sol: SdpSolution) -> Candidate:
@@ -194,21 +192,25 @@ def quantized_principal_eigenvector(p: DesignProblem, sol: SdpSolution) -> Candi
     return Candidate(sequence=seq, metrics=metrics, trial_index=-1, gamma=gamma)
 
 
-def arcsin_trace_ratio(sol, gram_i) -> float:
-    """tr(A_I arcsin(S)) / tr(A_I S) with element-wise arcsin.
+def arcsin_trace_ratio(matrix, band) -> float:
+    """tr(A arcsin(S)) / tr(A S) for the Gram matrix A of a band, arcsin element-wise.
 
-    Accepts an SdpSolution or a bare unit-diagonal PSD matrix. Entries
-    are clamped to [-1, 1] before the arcsin. Returns +inf when the
-    denominator is below 1e-12 (the solution spectrum already nulls the
-    interferer band).
+    S is a dense unit-diagonal PSD matrix, circulant or not. A is never
+    formed: for real symmetric X, tr(A X) = Re vdot(C, X C) over the
+    band's partial DFT columns C, since A = Re(C C^H). Entries are
+    clamped to [-1, 1] before the arcsin. Returns +inf when the
+    denominator is below 1e-12 (S already nulls the band).
     """
-    matrix = getattr(sol, "matrix", sol)
-    a = gram_i.values if isinstance(gram_i, GramMatrix) else np.asarray(gram_i)
-    clipped = np.clip(matrix, -1.0, 1.0)
-    denom = float(np.sum(a * matrix))
+    matrix = np.asarray(matrix, dtype=float)
+    columns = build_partial_dft(matrix.shape[0], band)
+
+    def trace(x):
+        return float(np.vdot(columns, x @ columns).real)
+
+    denom = trace(matrix)
     if abs(denom) <= 1e-12:
         return math.inf
-    return float(np.sum(a * np.arcsin(clipped))) / denom
+    return trace(np.arcsin(np.clip(matrix, -1.0, 1.0))) / denom
 
 
 def mcdiarmid_bound(p: DesignProblem) -> float:

@@ -22,9 +22,17 @@ Each weight is the half-count of bins k and n-k in a band, so it is 0,
 1/2 or 1, and bins with equal (a, b) form at most six classes. The LP
 optimum puts its mass on at most two classes; it is found by raising the
 multiplier of the bound through the breakpoints of the upper concave
-envelope of the class points (b, a), each step exact. The KKT residual
-is still evaluated against the dense Gram matrices, so the certificate
-does not rest on the symmetry argument.
+envelope of the class points (b, a), each step exact.
+
+The certificate does not rest on the symmetry argument. A_M and A_I are
+F diag(a) F^H and F diag(b) F^H by construction, so for every
+unit-diagonal PSD S, circulant or not, and every multiplier lam >= 0,
+weak duality with the dual matrix mu*I, mu = max_k(a_k - lam*b_k), gives
+
+    tr(A_M S) <= n * max_k(a_k - lam*b_k) + lam * alpha/2.
+
+The gap between that bound and a.q, with the primal and slackness
+conditions of the LP, certifies the solution in O(n).
 """
 
 from __future__ import annotations
@@ -35,7 +43,6 @@ import numpy as np
 
 from .errors import InfeasibleRelaxationError
 from .problem import BandSpec, DesignProblem, validate_problem
-from .spectral import build_partial_dft, gram
 
 #: relative threshold on eigenvalues counted toward the numerical rank
 RANK_TOL = 1e-7
@@ -50,16 +57,20 @@ class SdpSolution:
     """Solution of the relaxation, with exact unit diagonal.
 
     matrix            n x n real symmetric circulant PSD with unit diagonal
-    objective         tr(A_M matrix)
-    interferer_trace  tr(A_I matrix), at most alpha/2 up to roundoff
+    objective         tr(A_M matrix) = a.q over the DFT bins
+    interferer_trace  tr(A_I matrix) = b.q, at most alpha/2 up to roundoff
     factor            real Fourier columns scaled by sqrt of their
                       eigenvalue, ordered by descending eigenvalue, then
                       bin, then cos before sin; factor @ factor.T
                       reconstructs matrix and w = factor @ v has covariance
                       matrix for standard normal v
     rank              count of eigenvalues above the relative rank threshold
-    kkt_residual      max of primal violations, dual stationarity, and
-                      normalized complementary slackness
+    kkt_residual      O(n) certificate, the max of: the gap from a.q up
+                      to the weak-duality bound U = n*max_k(a_k - lam*b_k)
+                      + lam*alpha/2, over max(1, |U|); the primal
+                      violations (negative q, |sum(q) - n| / n, b.q above
+                      alpha/2); a negative multiplier; and complementary
+                      slackness lam*|b.q - alpha/2| / max(1, alpha)
     dual_multiplier   nonnegative multiplier of the trace inequality
     """
 
@@ -159,60 +170,42 @@ def _circulant(q: np.ndarray, table: np.ndarray) -> np.ndarray:
     return first[np.minimum(offset, n - offset)]
 
 
-def _kkt_value(matrix, a_m, a_i, lam, bound, alpha) -> float:
-    """Max KKT violation of a candidate solution (see SdpSolution docstring)."""
-    atil = a_m - lam * a_i
-    nu = np.sum(atil * matrix, axis=1)  # (atil @ matrix) diagonal, matrix symmetric
-    dual_gap = atil - np.diag(nu)
-    eig_dual = np.linalg.eigvalsh(dual_gap)
-    stationarity = max(0.0, float(eig_dual[-1])) / max(1.0, float(np.linalg.norm(atil)))
-    eig_primal = np.linalg.eigvalsh((matrix + matrix.T) / 2.0)
-    min_eig_violation = max(0.0, -float(eig_primal[0]))
-    diag_violation = float(np.max(np.abs(np.diag(matrix) - 1.0)))
-    itrace = float(np.sum(a_i * matrix))
-    ineq_violation = max(0.0, itrace - bound)
-    slackness = lam * abs(itrace - bound) / max(1.0, alpha)
-    return max(diag_violation, ineq_violation, min_eig_violation, stationarity, slackness)
+def _certificate(a, b, q, lam, bound, alpha) -> float:
+    """Largest violation of optimality of spectrum q with multiplier lam (see SdpSolution)."""
+    n = q.size
+    itrace = float(b @ q)
+    upper = n * float(np.max(a - lam * b)) + lam * bound
+    return max(
+        (upper - float(a @ q)) / max(1.0, abs(upper)),
+        max(0.0, -float(q.min())),
+        abs(float(q.sum()) - n) / n,
+        max(0.0, itrace - bound),
+        max(0.0, -lam),
+        lam * abs(itrace - bound) / max(1.0, alpha),
+    )
 
 
 def solve_relaxation(p: DesignProblem) -> SdpSolution:
-    """Solve the relaxation in closed form and certify it by KKT residual.
+    """Solve the relaxation in closed form and certify it by LP weak duality.
 
     Raises InfeasibleRelaxationError exactly when n * min_k b_k > alpha/2,
     that is when no unit-diagonal PSD matrix meets the halved bound.
     """
     validate_problem(p)
     bound = p.alpha / 2.0
-    q, lam = _spectrum(_bin_weights(p.n, p.message), _bin_weights(p.n, p.interferer), bound)
+    a, b = _bin_weights(p.n, p.message), _bin_weights(p.n, p.interferer)
+    q, lam = _spectrum(a, b, bound)
     table = _cos_table(p.n)
     factor, eigenvalues = _fourier_factor(q, table)
     matrix = _circulant(q, table)
-    a_m = gram(build_partial_dft(p.n, p.message)).values
-    a_i = gram(build_partial_dft(p.n, p.interferer)).values
     matrix.setflags(write=False)
     factor.setflags(write=False)
     return SdpSolution(
         matrix=matrix,
-        objective=float(np.sum(a_m * matrix)),
-        interferer_trace=float(np.sum(a_i * matrix)),
+        objective=float(a @ q),
+        interferer_trace=float(b @ q),
         factor=factor,
         rank=int(np.count_nonzero(eigenvalues > RANK_TOL * eigenvalues[0])),
-        kkt_residual=_kkt_value(matrix, a_m, a_i, lam, bound, p.alpha),
+        kkt_residual=_certificate(a, b, q, lam, bound, p.alpha),
         dual_multiplier=lam,
-    )
-
-
-def kkt_residuals(solution: SdpSolution, p: DesignProblem) -> float:
-    """Recompute the KKT residual of a solution from scratch.
-
-    The value is the max of: diagonal violation, inequality violation
-    against alpha/2, negative-eigenvalue magnitude, dual stationarity
-    (positive part of A_M - lam*A_I - Diag(nu), nu recovered from the
-    solution, normalized by the objective matrix norm), and complementary
-    slackness |lam * (tr(A_I S) - alpha/2)| / max(1, alpha).
-    """
-    a_m = gram(build_partial_dft(p.n, p.message)).values
-    a_i = gram(build_partial_dft(p.n, p.interferer)).values
-    return _kkt_value(
-        solution.matrix, a_m, a_i, solution.dual_multiplier, p.alpha / 2.0, p.alpha
     )

@@ -19,9 +19,7 @@ from specseq import (
     DesignProblem,
     ScoreKind,
     arcsin_trace_ratio,
-    build_partial_dft,
     exhaustive_search,
-    gram,
     halved_constraint_optimum,
     interferer_power,
     run_design,
@@ -96,7 +94,7 @@ def test_criterion_2_approximation_ratio_floor():
     res = run_design(p, sol, retain=True)
     table = res.trial_table
     floor = 2.0 / math.pi
-    exact = floor * arcsin_trace_ratio(sol, gram(build_partial_dft(p.n, p.message)))
+    exact = floor * arcsin_trace_ratio(sol.matrix, p.message)
     mean = float(table.gamma.mean())
     limit = 5.0 * float(table.gamma.std(ddof=1)) / math.sqrt(p.trials)
     elapsed = time.perf_counter() - started

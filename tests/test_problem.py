@@ -13,6 +13,7 @@ from specseq import (
     OverlapError,
     ScoreKind,
     band_metrics,
+    build_partial_dft,
     interferer_power,
     message_power,
     metric_bundle,
@@ -31,6 +32,26 @@ def naive_magnitude(s, k):
     n = len(s)
     total = sum(s[i] * np.exp(-2j * np.pi * k * i / n) for i in range(n))
     return abs(total) / math.sqrt(n)
+
+
+class TestPartialDft:
+    def test_dc_column(self):
+        columns = build_partial_dft(4, BandSpec((0,)))
+        assert np.allclose(columns[:, 0], 0.5 * np.ones(4))
+
+    def test_nyquist_column(self):
+        columns = build_partial_dft(4, BandSpec((2,)))
+        assert np.allclose(columns[:, 0], 0.5 * np.array([1, -1, 1, -1]))
+
+    def test_columns_unit_norm_and_orthogonal(self):
+        columns = build_partial_dft(8, BandSpec((1, 3)))
+        g = columns.conj().T @ columns
+        assert abs(g[0, 0] - 1) < 1e-12 and abs(g[1, 1] - 1) < 1e-12
+        assert abs(g[0, 1]) < 1e-12
+
+    def test_out_of_range_band(self):
+        with pytest.raises(IndexError):
+            build_partial_dft(4, BandSpec((4,)))
 
 
 class TestValidation:

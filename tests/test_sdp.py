@@ -11,18 +11,60 @@ from specseq import (
     DesignProblem,
     InfeasibleRelaxationError,
     build_partial_dft,
-    gram,
     halved_constraint_optimum,
-    kkt_residuals,
     metric_bundle,
     quantized_principal_eigenvector,
     solve_relaxation,
 )
-from specseq.sdp import _kkt_value
+from specseq.sdp import _bin_weights, _certificate
 
 
 def make_problem(n, message, interferer, alpha, seed=0):
     return DesignProblem(n, BandSpec(message), BandSpec(interferer), alpha, 10, seed)
+
+
+def dense_gram(n, band):
+    """Re(C C^H) over the band's partial DFT columns C, symmetrized."""
+    c = build_partial_dft(n, band)
+    g = np.real(c @ c.conj().T)
+    return (g + g.T) / 2.0
+
+
+def dense_kkt(matrix, a_m, a_i, lam, bound, alpha):
+    """Dense reference certificate of a candidate S against Gram matrices A_M, A_I.
+
+    Max of the diagonal violation, the bound violation, the most negative
+    eigenvalue of S, dual stationarity (largest eigenvalue of
+    A_M - lam*A_I - Diag(nu), nu recovered from S, over the norm of
+    A_M - lam*A_I) and complementary slackness.
+    """
+    atil = a_m - lam * a_i
+    nu = np.sum(atil * matrix, axis=1)  # (atil @ matrix) diagonal, matrix symmetric
+    eig_dual = np.linalg.eigvalsh(atil - np.diag(nu))
+    stationarity = max(0.0, float(eig_dual[-1])) / max(1.0, float(np.linalg.norm(atil)))
+    eig_primal = np.linalg.eigvalsh((matrix + matrix.T) / 2.0)
+    min_eig_violation = max(0.0, -float(eig_primal[0]))
+    diag_violation = float(np.max(np.abs(np.diag(matrix) - 1.0)))
+    itrace = float(np.sum(a_i * matrix))
+    ineq_violation = max(0.0, itrace - bound)
+    slackness = lam * abs(itrace - bound) / max(1.0, alpha)
+    return max(diag_violation, ineq_violation, min_eig_violation, stationarity, slackness)
+
+
+def assert_dense_reference_agrees(p, sol):
+    """The dense certificate of sol.matrix and its dense traces against the O(n) values."""
+    a_m, a_i = dense_gram(p.n, p.message), dense_gram(p.n, p.interferer)
+    matrix = np.asarray(sol.matrix)
+    kkt = dense_kkt(matrix, a_m, a_i, sol.dual_multiplier, p.alpha / 2, p.alpha)
+    assert kkt <= 1e-9
+    for dense, stored in ((np.sum(a_m * matrix), sol.objective),
+                          (np.sum(a_i * matrix), sol.interferer_trace)):
+        assert abs(dense - stored) <= 1e-12 * max(1.0, abs(stored))
+
+
+def spectrum_of(sol):
+    """q with S = Re(F diag(q) F^H), recovered from the first row of S."""
+    return np.fft.fft(np.asarray(sol.matrix)[0]).real
 
 
 def random_config(rng, n=12, widths=(3, 3)):
@@ -189,26 +231,45 @@ class TestDualBisection:
 
 
 class TestKktResiduals:
+    """The O(n) weak-duality certificate, and the dense reference it replaces."""
+
     def test_exact_rank_one_dc_solution(self):
         p = make_problem(4, (0,), (), 1.0)
-        a_m = gram(build_partial_dft(4, p.message)).values
-        a_i = gram(build_partial_dft(4, p.interferer)).values
-        exact = np.ones((4, 4))
-        assert _kkt_value(exact, a_m, a_i, 0.0, p.alpha / 2, p.alpha) <= 1e-10
+        a, b = _bin_weights(4, p.message), _bin_weights(4, p.interferer)
+        exact = np.array([4.0, 0.0, 0.0, 0.0])  # S = all ones
+        assert _certificate(a, b, exact, 0.0, p.alpha / 2, p.alpha) <= 1e-10
+        a_m, a_i = dense_gram(4, p.message), dense_gram(4, p.interferer)
+        assert dense_kkt(np.ones((4, 4)), a_m, a_i, 0.0, p.alpha / 2, p.alpha) <= 1e-10
 
     def test_perturbed_diagonal_flagged(self):
+        # optimum: mass 3 on bins {1, 5}, multiplier 0, objective 3
         p = make_problem(6, (1,), (2,), 1.0)
         sol = solve_relaxation(p)
+        a, b = _bin_weights(6, p.message), _bin_weights(6, p.interferer)
+        q, lam = spectrum_of(sol), sol.dual_multiplier
+        bound = p.alpha / 2
+
+        def certificate(q, lam):
+            return _certificate(a, b, q, lam, bound, p.alpha)
+
+        assert certificate(q, lam) <= 1e-12
+        assert certificate(1.2 * q, lam) >= 0.1  # unit diagonal broken: S_ii = 1.2
+        off = q.copy()
+        off[1] -= 1.0
+        off[0] += 1.0  # mass moved off the optimum onto a bin of weight 0
+        assert certificate(off, lam) >= 0.1
+        assert certificate(q, 1.0) >= 0.1  # wrong multiplier
         bad = np.array(sol.matrix)
         bad[0, 0] = 1.1
-        a_m = gram(build_partial_dft(6, p.message)).values
-        a_i = gram(build_partial_dft(6, p.interferer)).values
-        assert _kkt_value(bad, a_m, a_i, sol.dual_multiplier, p.alpha / 2, p.alpha) >= 0.1
+        a_m, a_i = dense_gram(6, p.message), dense_gram(6, p.interferer)
+        assert dense_kkt(bad, a_m, a_i, lam, bound, p.alpha) >= 0.1
 
     def test_recompute_matches_stored(self):
         p = make_problem(12, (1, 2), (5, 10, 11), 3.0)
         sol = solve_relaxation(p)
-        assert kkt_residuals(sol, p) == pytest.approx(sol.kkt_residual, rel=1e-9, abs=1e-12)
+        a, b = _bin_weights(12, p.message), _bin_weights(12, p.interferer)
+        again = _certificate(a, b, spectrum_of(sol), sol.dual_multiplier, p.alpha / 2, p.alpha)
+        assert again == pytest.approx(sol.kkt_residual, rel=1e-9, abs=1e-12)
 
     def test_converged_n64(self):
         p = make_problem(
@@ -217,6 +278,13 @@ class TestKktResiduals:
         )
         sol = solve_relaxation(p)
         assert sol.kkt_residual <= 1e-5
+
+    def test_dense_reference_on_paper_layout(self):
+        p = make_problem(
+            64, tuple(range(12, 15)) + tuple(range(20, 23)),
+            tuple(range(5, 8)) + tuple(range(25, 28)), 5.0,
+        )
+        assert_dense_reference_agrees(p, solve_relaxation(p))
 
 
 def _interferer_floor(p):
@@ -251,3 +319,4 @@ class TestClosedFormProperties:
         assert sol.kkt_residual <= 1e-9
         assert sol.interferer_trace <= p.alpha / 2 + 1e-12
         assert sol.objective >= halved_constraint_optimum(p) - 1e-9
+        assert_dense_reference_agrees(p, sol)
