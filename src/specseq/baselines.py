@@ -72,6 +72,8 @@ class BaselineResult:
     metrics: MetricBundle
     iterations: int
     trace: np.ndarray
+    #: True when the run stopped by its own rule, False when max_iters cut it
+    converged: bool
 
 
 def shape_bounds_from_problem(p: DesignProblem) -> ShapeBounds:
@@ -169,8 +171,9 @@ def run_shape(
 ) -> BaselineResult:
     """Cycle spectrum, scale, and sequence steps from a seeded random start.
 
-    Stops when the relative objective change drops below tol or after
-    max_iters cycles. The objective trace is monotone non-increasing
+    Stops when the relative objective change drops below tol or the
+    complex scale reaches 0 (converged), or after max_iters cycles (not
+    converged). The objective trace is monotone non-increasing
     because every step is an exact block minimizer.
     """
     validate_problem(p)
@@ -186,15 +189,18 @@ def run_shape(
     state = ShapeState(sequence=seq, spectrum=np.zeros(p.n), scale=1.0 + 0.0j, objective=np.inf)
     trace = []
     iterations = 0
+    converged = False
     for iterations in range(1, max_iters + 1):
         previous = state.objective
         state = shape_spectrum_step(state, bounds)
         state = shape_scale_step(state)
         if state.scale == 0:
-            break  # model term is dead; objective can no longer improve
+            converged = True  # model term is dead; objective can no longer improve
+            break
         state = shape_sequence_step(state, variant)
         trace.append(state.objective)
         if np.isfinite(previous) and abs(previous - state.objective) <= tol * max(1.0, previous):
+            converged = True
             break
 
     seq_out = state.sequence
@@ -205,6 +211,7 @@ def run_shape(
         metrics=metric_bundle(p, seq_out),
         iterations=iterations,
         trace=np.asarray(trace),
+        converged=converged,
     )
 
 
@@ -264,10 +271,10 @@ def run_lpnn(
     """Euler dynamics on the augmented Lagrangian from a seeded random start.
 
     Every bin carries weight 1 and the modulus penalty weight is
-    LPNN_AUGMENT. Stops when the largest increment falls below 1e-8 or
-    after max_iters steps; raises DivergenceError if any neuron passes 1e6
-    in magnitude. The trace records the worst modulus-constraint residual
-    per step.
+    LPNN_AUGMENT. Stops when the largest increment falls below 1e-8
+    (converged) or after max_iters steps (not converged); raises
+    DivergenceError if any neuron passes 1e6 in magnitude. The trace
+    records the worst modulus-constraint residual per step.
     """
     validate_problem(p)
     if variant not in ("binary", "unimodular"):
@@ -287,6 +294,7 @@ def run_lpnn(
 
     trace = []
     iterations = 0
+    converged = False
     for iterations in range(1, max_iters + 1):
         d_neurons, d_scale, residual = lpnn_increments(state, p, target)
         state.neurons = state.neurons + step * d_neurons
@@ -297,6 +305,7 @@ def run_lpnn(
         if np.max(np.abs(state.neurons)) > 1e6:
             raise DivergenceError("neuron magnitude exceeded 1e6; reduce the step size")
         if max(float(np.max(np.abs(d_neurons))), abs(d_scale), worst_residual) < 1e-8:
+            converged = True
             break
 
     if variant == "binary":
@@ -310,4 +319,5 @@ def run_lpnn(
         metrics=metric_bundle(p, seq),
         iterations=iterations,
         trace=np.asarray(trace),
+        converged=converged,
     )

@@ -1,13 +1,18 @@
 """Randomized projection, binary quantization, filtering, and selection.
 
-Each trial draws a standard normal vector v from its own substream
-(seed XOR trial index, so trials are reproducible independently of
-batching), projects it through the relaxation factor, and quantizes the
-signs. Candidates whose interferer power stays within the full tolerance
-alpha are feasible (problem.band_metrics scores them and holds that
-rule); the best feasible candidate under the chosen score wins, with
-ties broken by the lower trial index, and keeps the metrics of its row
-in the scored block, the values it was selected by.
+A run draws its Gaussians from one counter-based stream, Philox keyed by
+the seed (Salmon et al., SC'11): trial ell takes the ell-th block of r
+normals, r being the number of factor columns that are not all zero,
+projects it through those columns and quantizes the signs. An all-zero
+column adds exactly 0 to every projection, so leaving it out keeps the
+law of each sign vector. The draws do not depend on how trials are
+batched, a shorter run is a prefix of a longer one, and distinct seeds
+are distinct keys, hence independent runs. Candidates whose interferer
+power stays within the full tolerance alpha are feasible
+(problem.band_metrics scores them and holds that rule); the best
+feasible candidate under the chosen score wins, with ties broken by the
+lower trial index, and keeps the metrics of its row in the scored block,
+the values it was selected by.
 """
 
 from __future__ import annotations
@@ -31,7 +36,8 @@ from .problem import (
 from .sdp import SdpSolution
 
 #: trials are evaluated in fixed-size blocks; block boundaries never
-#: affect results because every trial has its own substream
+#: affect results because a Generator's normals are the same however
+#: they are split into calls
 _CHUNK = 16384
 
 #: objective values at or below this are too degenerate to normalize by
@@ -98,11 +104,13 @@ def sample_candidate(factor: np.ndarray, rng: np.random.Generator) -> np.ndarray
     return np.where(w >= 0.0, 1, -1).astype(np.int8)
 
 
-def _trial_normals(seed: int, start: int, count: int, n: int) -> np.ndarray:
-    v = np.empty((count, n))
-    for j in range(count):
-        v[j] = np.random.default_rng(seed ^ (start + j)).standard_normal(n)
-    return v
+def _trial_normals(rng: np.random.Generator, start: int, count: int, r: int) -> np.ndarray:
+    """Normals of trials start .. start+count-1, one row of r per trial.
+
+    The rows are the next count*r normals of the run's stream, so the
+    caller asks for the trials in order; start only names the first one.
+    """
+    return rng.standard_normal((count, r))
 
 
 def run_design(
@@ -113,13 +121,17 @@ def run_design(
 ) -> DesignResult:
     """Run all p.trials rounding trials and select the best feasible candidate.
 
-    Deterministic given (p, sol): trial ell draws its normal vector from a
-    generator seeded with p.seed XOR ell. Set retain=True to keep per-trial
-    metric arrays (used by the experiment harnesses); by default only the
-    winner and summary statistics are kept.
+    Deterministic given (p, sol): trial ell reads normals ell*r ..
+    (ell+1)*r-1 of Generator(Philox(key=p.seed)), r being the number of
+    factor columns that are not all zero, and projects them through those
+    columns. Set retain=True to keep per-trial metric arrays (used by the
+    experiment harnesses); by default only the winner and summary
+    statistics are kept.
     """
     validate_problem(p)
-    factor_t = np.ascontiguousarray(sol.factor.T)
+    live = sol.factor[:, np.any(sol.factor != 0.0, axis=0)]
+    factor_t = np.ascontiguousarray(live.T)
+    rng = np.random.Generator(np.random.Philox(key=p.seed))
     objective = sol.objective
 
     best_score = -math.inf
@@ -132,7 +144,7 @@ def run_design(
 
     for start in range(0, p.trials, _CHUNK):
         count = min(_CHUNK, p.trials - start)
-        v = _trial_normals(p.seed, start, count, p.n)
+        v = _trial_normals(rng, start, count, factor_t.shape[0])
         signs = np.where(v @ factor_t >= 0.0, 1.0, -1.0)
         scored = band_metrics(p, signs)
         feasible = scored.feasible

@@ -251,6 +251,14 @@ class TestRunShape:
         assert set(np.unique(out.sequence)) <= {-1, 1}
         assert out.metrics.message_power >= 0.0
 
+    def test_converged_flag(self):
+        p = make_problem(16, (2, 3), (6, 7), alpha=2.0, seed=11)
+        for variant in ("binary", "unimodular"):
+            out = run_shape(p, variant)
+            assert out.converged and out.iterations < 10000
+            # the first cycle has no previous objective, so one cycle cannot converge
+            assert not run_shape(p, variant, max_iters=1).converged
+
     def test_flat_spectrum_target_decreases(self):
         from specseq.baselines import ShapeBounds, shape_scale_step, shape_spectrum_step
 
@@ -356,6 +364,13 @@ class TestRunLpnn:
         first = np.mean(out.trace[:50])
         last = np.mean(out.trace[-50:])
         assert last < first
+
+    def test_budget_cut_not_converged(self):
+        # the baseline-64-w1 layout of the benchmark's compare workload
+        p = make_problem(64, tuple(range(43, 53)), (31,), alpha=5.0)
+        for variant in ("binary", "unimodular"):
+            out = run_lpnn(p, variant, max_iters=50)
+            assert out.iterations == 50 and not out.converged
 
     def test_divergence_detected(self):
         p = make_problem(16, (2, 3), (6, 7), alpha=2.0, seed=17)

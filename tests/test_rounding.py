@@ -23,6 +23,7 @@ from specseq import (
     sample_candidate,
     solve_relaxation,
 )
+from specseq import rounding
 from specseq.sdp import RANK_TOL, SdpSolution
 
 
@@ -54,6 +55,18 @@ def solution_from_matrix(matrix, p):
         kkt_residual=0.0,
         dual_multiplier=0.0,
     )
+
+
+README_MESSAGE = tuple(range(12, 15)) + tuple(range(20, 23))
+README_INTERFERER = tuple(range(5, 8)) + tuple(range(25, 28))
+
+
+def assert_same_result(actual, expected):
+    """Equal summaries, winners and trial tables, bitwise."""
+    assert actual.to_json_dict() == expected.to_json_dict()
+    for f in fields(expected.trial_table):
+        name = f.name
+        assert np.array_equal(getattr(actual.trial_table, name), getattr(expected.trial_table, name))
 
 
 def random_correlation(rng, n, rank):
@@ -123,7 +136,8 @@ class TestRunDesign:
         assert np.array_equal(a.trial_table.message_power, b.trial_table.message_power)
 
     def test_prefix_trials_consistent(self):
-        # trial ell depends only on seed XOR ell, not on the total count
+        # trial ell reads rows ell*r .. (ell+1)*r-1 of the seed's stream,
+        # whatever the total count
         p_small = make_problem(12, (1, 2), (4, 5), alpha=3.0, trials=64, seed=123456789)
         p_large = make_problem(12, (1, 2), (4, 5), alpha=3.0, trials=256, seed=123456789)
         sol = solve_relaxation(p_small)
@@ -135,14 +149,51 @@ class TestRunDesign:
         )
 
     def test_matches_per_trial_sampling(self):
+        # trial ell is sample_candidate on the live factor columns, drawn
+        # in trial order from Generator(Philox(key=seed))
         p = make_problem(12, (1, 2), (4, 5), alpha=3.0, trials=50, seed=9001)
         sol = solve_relaxation(p)
         res = run_design(p, sol, retain=True)
-        for ell in (0, 1, 17, 49):
-            cand = sample_candidate(sol.factor, np.random.default_rng(p.seed ^ ell))
+        live = sol.factor[:, np.any(sol.factor != 0.0, axis=0)]
+        assert live.shape[1] < p.n
+        rng = np.random.Generator(np.random.Philox(key=p.seed))
+        for ell in range(p.trials):
+            cand = sample_candidate(live, rng)
             assert metric_bundle(p, cand).message_power == pytest.approx(
                 res.trial_table.message_power[ell], rel=1e-12
             )
+
+    def test_distinct_seeds_give_distinct_runs(self):
+        # seeds are Philox keys, not offsets into one set of trials: no two
+        # runs hold the same trials, in whatever order
+        p = make_problem(64, README_MESSAGE, README_INTERFERER, alpha=5.0, trials=4096)
+        sol = solve_relaxation(p)
+        seeds = (0, 1, 2, 3, 1000, 2**64 - 1)
+        tables = [
+            np.sort(run_design(replace(p, seed=s), sol, retain=True).trial_table.message_power)
+            for s in seeds
+        ]
+        for i in range(len(seeds)):
+            for j in range(i):
+                assert not np.array_equal(tables[i], tables[j]), (seeds[i], seeds[j])
+
+    def test_chunk_size_does_not_change_results(self, monkeypatch):
+        p = make_problem(64, README_MESSAGE, README_INTERFERER, alpha=5.0, trials=300, seed=8)
+        sol = solve_relaxation(p)
+        default = run_design(p, sol, retain=True)
+        monkeypatch.setattr(rounding, "_CHUNK", 7)
+        chunked = run_design(p, sol, retain=True)
+        assert_same_result(chunked, default)
+
+    def test_zero_factor_columns_do_not_change_results(self):
+        p = make_problem(16, (2, 3), (6, 7), alpha=2.0, trials=300, seed=4)
+        sol = solve_relaxation(p)
+        live = sol.factor[:, np.any(sol.factor != 0.0, axis=0)]
+        padded = np.zeros((p.n, 3 * live.shape[1]))
+        padded[:, 1::3] = live
+        bare = run_design(p, replace(sol, factor=live), retain=True)
+        for factor in (sol.factor, padded):
+            assert_same_result(run_design(p, replace(sol, factor=factor), retain=True), bare)
 
     def test_feasibility_filter_uses_full_alpha(self):
         p = make_problem(16, (2, 3), (6, 7), alpha=2.0, trials=400, seed=5)
