@@ -63,7 +63,6 @@ class LpnnState:
     multipliers: np.ndarray
     weights: np.ndarray
     augment: float
-    step: float
 
 
 @dataclass(frozen=True)
@@ -224,9 +223,78 @@ def lpnn_target_spectrum(p: DesignProblem, bounds: ShapeBounds) -> np.ndarray:
     return target
 
 
-def _split(t: np.ndarray) -> np.ndarray:
+def _to_complex(t: np.ndarray) -> np.ndarray:
+    """Complex neurons Re + j Im from real-stacked t = [Re; Im]."""
     half = t.shape[0] // 2
-    return t[:half] + 1j * t[half:]
+    c = np.empty(half, dtype=complex)
+    c.real = t[:half]
+    c.imag = t[half:]
+    return c
+
+
+class _LpnnKernel:
+    """LPNN's increments for one problem, evaluated in buffers made once.
+
+    Neurons are a real n-vector (binary variant) or a complex n-vector
+    (unimodular). A call leaves the Lagrangian gradient in ``grad`` (the
+    neuron increment is its negative) and the modulus residuals in
+    ``residual``, and returns the scale increment. Every ufunc writes
+    through ``out=`` but takes its operands in the order of the plain
+    expression ``4.0 * F (w * (|F^H c|^2 - scale * target) * F^H c) +
+    (4 * augment * (|c|^2 - 1) + 2 * multipliers) * c`` (the real part of
+    its first term for binary neurons), so the results are bitwise those
+    of evaluating it with temporaries.
+    """
+
+    def __init__(self, target: np.ndarray, weights: np.ndarray, augment: float, unimodular: bool):
+        n = target.shape[0]
+        dtype = complex if unimodular else float
+        self.target = target
+        self.weights = weights
+        self.gain = 4.0 * augment
+        self.unimodular = unimodular
+        self.grad = np.empty(n, dtype=dtype)
+        self.residual = np.empty(n)
+        self._y = np.empty(n, dtype=complex)
+        self._ry = np.empty(n, dtype=complex)
+        self._r = np.empty(n)
+        self._penalty = np.empty(n)
+        self._tmp = np.empty(n)
+        self._work = np.empty(n, dtype=dtype)
+
+    def __call__(self, neurons: np.ndarray, scale: float, multipliers: np.ndarray) -> float:
+        y, r, tmp, penalty, residual, grad = (
+            self._y, self._r, self._tmp, self._penalty, self.residual, self.grad,
+        )
+        np.fft.ifft(neurons, norm="ortho", out=y)
+        np.square(y.real, out=r)
+        np.square(y.imag, out=tmp)
+        np.add(r, tmp, out=r)
+        np.multiply(scale, self.target, out=tmp)
+        np.subtract(r, tmp, out=r)
+        np.multiply(self.weights, r, out=r)
+        np.multiply(r, y, out=self._ry)
+        np.fft.fft(self._ry, norm="ortho", out=y)
+        if self.unimodular:
+            np.multiply(4.0, y, out=grad)
+            np.square(neurons.real, out=residual)
+            np.square(neurons.imag, out=tmp)
+            np.add(residual, tmp, out=residual)
+        else:
+            np.multiply(4.0, y.real, out=grad)
+            np.square(neurons, out=residual)
+        np.subtract(residual, 1.0, out=residual)
+        np.multiply(self.gain, residual, out=penalty)
+        np.multiply(2.0, multipliers, out=tmp)
+        np.add(penalty, tmp, out=penalty)
+        np.multiply(penalty, neurons, out=self._work)
+        np.add(grad, self._work, out=grad)
+        np.multiply(r, self.target, out=tmp)
+        return 2.0 * float(tmp.sum())
+
+
+def _max_abs(x: np.ndarray) -> float:
+    return max(x.max(), -x.min())
 
 
 def lpnn_increments(state: LpnnState, p: DesignProblem, target_spectrum: np.ndarray):
@@ -237,29 +305,15 @@ def lpnn_increments(state: LpnnState, p: DesignProblem, target_spectrum: np.ndar
     products with the DFT basis, which is what is computed here.
     """
     n = p.n
-    if state.neurons.shape[0] == 2 * n:
-        c = _split(state.neurons)
-        y = _analysis(c)
-        power = y.real**2 + y.imag**2
-        r = state.weights * (power - state.scale * target_spectrum)
-        grad_c = 4.0 * _synthesis(r * y)
-        modulus = c.real**2 + c.imag**2
-        grad_c += (4.0 * state.augment * (modulus - 1.0) + 2.0 * state.multipliers) * c
-        d_neurons = -np.concatenate([grad_c.real, grad_c.imag])
-        residual = modulus - 1.0
-    elif state.neurons.shape[0] == n:
-        s = state.neurons
-        y = _analysis(s)
-        power = y.real**2 + y.imag**2
-        r = state.weights * (power - state.scale * target_spectrum)
-        grad = 4.0 * _synthesis(r * y).real
-        grad += (4.0 * state.augment * (s**2 - 1.0) + 2.0 * state.multipliers) * s
-        d_neurons = -grad
-        residual = s**2 - 1.0
-    else:
+    unimodular = state.neurons.shape[0] == 2 * n
+    if not unimodular and state.neurons.shape[0] != n:
         raise ValueError(f"neuron vector length {state.neurons.shape[0]} does not match n={n}")
-    d_scale = 2.0 * float(np.sum(r * target_spectrum))
-    return d_neurons, d_scale, residual
+    neurons = _to_complex(state.neurons) if unimodular else state.neurons
+    kernel = _LpnnKernel(target_spectrum, state.weights, state.augment, unimodular)
+    d_scale = kernel(neurons, state.scale, state.multipliers)
+    grad = kernel.grad
+    d_neurons = -np.concatenate([grad.real, grad.imag]) if unimodular else -grad
+    return d_neurons, d_scale, kernel.residual
 
 
 def run_lpnn(
@@ -275,6 +329,10 @@ def run_lpnn(
     (converged) or after max_iters steps (not converged); raises
     DivergenceError if any neuron passes 1e6 in magnitude. The trace
     records the worst modulus-constraint residual per step.
+
+    Each step runs in place through the kernel behind lpnn_increments;
+    unimodular neurons are updated through their real view, which is
+    the real-stacked update component by component.
     """
     validate_problem(p)
     if variant not in ("binary", "unimodular"):
@@ -282,42 +340,47 @@ def run_lpnn(
     bounds = shape_bounds_from_problem(p)
     target = lpnn_target_spectrum(p, bounds)
     rng = np.random.default_rng([p.seed, _LPNN_STREAM])
-    dim = p.n if variant == "binary" else 2 * p.n
-    state = LpnnState(
-        neurons=rng.standard_normal(dim),
-        scale=float(rng.standard_normal()),
-        multipliers=rng.standard_normal(p.n),
-        weights=np.ones(p.n),
-        augment=LPNN_AUGMENT,
-        step=step,
-    )
+    unimodular = variant == "unimodular"
+    neurons = rng.standard_normal(2 * p.n if unimodular else p.n)
+    if unimodular:
+        neurons = _to_complex(neurons)
+    scale = float(rng.standard_normal())
+    multipliers = rng.standard_normal(p.n)
+    kernel = _LpnnKernel(target, np.ones(p.n), LPNN_AUGMENT, unimodular)
 
-    trace = []
+    flat = neurons.view(float)
+    grad = kernel.grad.view(float)
+    move = np.empty_like(flat)
+    drift = np.empty(p.n)
+    trace = np.empty(max(max_iters, 0))
     iterations = 0
     converged = False
     for iterations in range(1, max_iters + 1):
-        d_neurons, d_scale, residual = lpnn_increments(state, p, target)
-        state.neurons = state.neurons + step * d_neurons
-        state.scale = state.scale + step * d_scale
-        state.multipliers = state.multipliers + step * residual
-        worst_residual = float(np.max(np.abs(residual)))
-        trace.append(worst_residual)
-        if np.max(np.abs(state.neurons)) > 1e6:
+        d_scale = kernel(neurons, scale, multipliers)
+        residual = kernel.residual
+        np.multiply(grad, -step, out=move)  # bit for bit step * -grad
+        np.add(flat, move, out=flat)
+        scale = scale + step * d_scale
+        np.multiply(step, residual, out=drift)
+        np.add(multipliers, drift, out=multipliers)
+        worst_residual = _max_abs(residual)
+        trace[iterations - 1] = worst_residual
+        if _max_abs(flat) > 1e6:
             raise DivergenceError("neuron magnitude exceeded 1e6; reduce the step size")
-        if max(float(np.max(np.abs(d_neurons))), abs(d_scale), worst_residual) < 1e-8:
+        # the stop needs all three terms below 1e-8, so the gradient is read only then
+        if worst_residual < 1e-8 and max(_max_abs(grad), abs(d_scale), worst_residual) < 1e-8:
             converged = True
             break
 
     if variant == "binary":
-        seq = np.where(state.neurons >= 0.0, 1, -1).astype(np.int8)
+        seq = np.where(neurons >= 0.0, 1, -1).astype(np.int8)
     else:
-        c = _split(state.neurons)
-        mag = np.abs(c)
-        seq = np.where(mag == 0.0, 1.0 + 0.0j, c / np.where(mag == 0.0, 1.0, mag))
+        mag = np.abs(neurons)
+        seq = np.where(mag == 0.0, 1.0 + 0.0j, neurons / np.where(mag == 0.0, 1.0, mag))
     return BaselineResult(
         sequence=seq,
         metrics=metric_bundle(p, seq),
         iterations=iterations,
-        trace=np.asarray(trace),
+        trace=trace[:iterations].copy(),
         converged=converged,
     )

@@ -6,8 +6,11 @@ lexicographic order (-1 before +1) in blocks of 2^12 rows, and each
 block is scored by problem.band_metrics, so the oracle applies the same
 metric, null and feasibility rules as the design it judges. Within a
 block the first maximum wins and across blocks only a strictly larger
-score replaces the best, so ties go to the lexicographically smaller
-sequence.
+score replaces the best, so of scores that are equal as floats the
+lexicographically smaller sequence wins. Scores that are equal in exact
+arithmetic but apart by roundoff go to the larger float, whichever
+sequence that is; ROADMAP direction 5 owns the exact tie rule. Each
+optimum is reported with the metrics of the block row that selected it.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NoFeasibleError, SizeLimitError
-from .problem import DesignProblem, ScoreKind, band_metrics, metric_bundle, validate_problem
+from .problem import DesignProblem, ScoreKind, band_metrics, validate_problem
 
 DEFAULT_LIMIT = 24
 
@@ -72,19 +75,16 @@ def exhaustive_search(p: DesignProblem) -> OracleResult:
         for kind in ScoreKind:
             idx, score = metrics.best_feasible(kind)
             if score > best[kind][0]:
-                best[kind] = (score, block[idx].astype(np.int8))
+                # keep the block row the optimum was selected by, not a re-score
+                best[kind] = (score, (block[idx].astype(np.int8), metrics.row(idx)))
 
     if n_feasible == 0:
         raise NoFeasibleError(f"no binary sequence has interferer power <= {p.alpha}")
 
-    def pack(kind: ScoreKind) -> tuple:
-        seq = best[kind][1]
-        return seq, metric_bundle(p, seq)
-
     return OracleResult(
-        best_by_power=pack(ScoreKind.MESSAGE_POWER),
-        best_by_rho=pack(ScoreKind.REJECTION_RATIO),
-        best_by_chi=pack(ScoreKind.RECIPROCAL_DYNAMIC_RANGE),
+        best_by_power=best[ScoreKind.MESSAGE_POWER][1],
+        best_by_rho=best[ScoreKind.REJECTION_RATIO][1],
+        best_by_chi=best[ScoreKind.RECIPROCAL_DYNAMIC_RANGE][1],
         n_feasible=n_feasible,
         n_enumerated=1 << (p.n - 1),
     )

@@ -8,6 +8,7 @@ from specseq import (
     LpnnState,
     ShapeState,
     lpnn_increments,
+    metric_bundle,
     run_lpnn,
     run_shape,
     shape_bounds_from_problem,
@@ -15,7 +16,7 @@ from specseq import (
     shape_sequence_step,
     shape_spectrum_step,
 )
-from specseq.baselines import LPNN_AUGMENT, UNBOUNDED, lpnn_target_spectrum
+from specseq.baselines import _LPNN_STREAM, LPNN_AUGMENT, UNBOUNDED, lpnn_target_spectrum
 
 
 def make_problem(n, message, interferer, alpha=1.0, seed=0):
@@ -231,7 +232,6 @@ class TestDenseDefinition:
             multipliers=rng.standard_normal(n),
             weights=np.ones(n),
             augment=LPNN_AUGMENT,
-            step=1e-3,
         )
         got = lpnn_increments(state, p, target)
         for actual, expected in zip(got, dense_lpnn_increments(state, p, target)):
@@ -312,7 +312,6 @@ class TestLpnnIncrements:
             multipliers=rng.standard_normal(8),
             weights=np.ones(8),
             augment=10.0,
-            step=1e-3,
         )
         d_neurons, d_scale, residual = lpnn_increments(state, p, target)
         eps = 1e-6
@@ -339,7 +338,7 @@ class TestLpnnIncrements:
         seq = np.ones(8)
         state = LpnnState(
             neurons=seq, scale=0.0, multipliers=np.zeros(8),
-            weights=np.zeros(8), augment=10.0, step=1e-3,
+            weights=np.zeros(8), augment=10.0,
         )
         d_neurons, d_scale, residual = lpnn_increments(state, p, target)
         assert np.abs(d_neurons).max() <= 1e-8
@@ -382,3 +381,101 @@ class TestRunLpnn:
         a = run_lpnn(p, "binary", max_iters=200)
         b = run_lpnn(p, "binary", max_iters=200)
         assert np.array_equal(a.sequence, b.sequence)
+
+
+def plain_lpnn_increments(state, p, target_spectrum):
+    """lpnn_increments written with temporaries, in the order of operations run_lpnn must keep."""
+    n = p.n
+    if state.neurons.shape[0] == 2 * n:
+        c = state.neurons[:n] + 1j * state.neurons[n:]
+        y = np.fft.ifft(c, norm="ortho")
+        r = state.weights * (y.real**2 + y.imag**2 - state.scale * target_spectrum)
+        grad_c = 4.0 * np.fft.fft(r * y, norm="ortho")
+        modulus = c.real**2 + c.imag**2
+        grad_c += (4.0 * state.augment * (modulus - 1.0) + 2.0 * state.multipliers) * c
+        d_neurons = -np.concatenate([grad_c.real, grad_c.imag])
+    else:
+        s = state.neurons
+        y = np.fft.ifft(s, norm="ortho")
+        r = state.weights * (y.real**2 + y.imag**2 - state.scale * target_spectrum)
+        grad = 4.0 * np.fft.fft(r * y, norm="ortho").real
+        modulus = s**2
+        grad += (4.0 * state.augment * (modulus - 1.0) + 2.0 * state.multipliers) * s
+        d_neurons = -grad
+    return d_neurons, 2.0 * float(np.sum(r * target_spectrum)), modulus - 1.0
+
+
+def replay_lpnn(p, variant, max_iters, step=1e-3):
+    """run_lpnn as a plain Euler loop over lpnn_increments, checking each step bitwise.
+
+    Returns (sequence, trace, iterations, converged), or the iteration
+    at which a neuron passed 1e6 in magnitude.
+    """
+    target = lpnn_target_spectrum(p, shape_bounds_from_problem(p))
+    rng = np.random.default_rng([p.seed, _LPNN_STREAM])
+    state = LpnnState(
+        neurons=rng.standard_normal(p.n if variant == "binary" else 2 * p.n),
+        scale=float(rng.standard_normal()),
+        multipliers=rng.standard_normal(p.n),
+        weights=np.ones(p.n),
+        augment=LPNN_AUGMENT,
+    )
+    trace = []
+    converged = False
+    for iterations in range(1, max_iters + 1):
+        d_neurons, d_scale, residual = lpnn_increments(state, p, target)
+        plain = plain_lpnn_increments(state, p, target)
+        assert d_neurons.tobytes() == plain[0].tobytes()
+        assert d_scale.hex() == plain[1].hex()
+        assert residual.tobytes() == plain[2].tobytes()
+        state.neurons = state.neurons + step * d_neurons
+        state.scale = state.scale + step * d_scale
+        state.multipliers = state.multipliers + step * residual
+        worst_residual = float(np.max(np.abs(residual)))
+        trace.append(worst_residual)
+        if np.max(np.abs(state.neurons)) > 1e6:
+            return iterations
+        if max(float(np.max(np.abs(d_neurons))), abs(d_scale), worst_residual) < 1e-8:
+            converged = True
+            break
+    if variant == "binary":
+        seq = np.where(state.neurons >= 0.0, 1, -1).astype(np.int8)
+    else:
+        c = state.neurons[: p.n] + 1j * state.neurons[p.n :]
+        seq = c / np.abs(c)
+    return seq, np.asarray(trace), iterations, converged
+
+
+class TestLpnnExactness:
+    """run_lpnn's in-place steps are bitwise the plain Euler loop over lpnn_increments."""
+
+    @pytest.mark.parametrize(
+        "p, max_iters, step",
+        [
+            # odd n, interferer band asymmetric about DC
+            (make_problem(9, (1, 2), (4, 6), alpha=1.0, seed=3), 2000, 1e-3),
+            # the baseline-64-w1 layout of the benchmark's compare workload
+            (make_problem(64, tuple(range(43, 53)), (31,), alpha=5.0), 300, 1e-3),
+            # n=1 reaches the stop rule: every term of it is evaluated
+            (make_problem(1, (0,), (), alpha=1.0, seed=2), 20000, 2e-2),
+        ],
+        ids=["n9", "baseline-64-w1", "n1-converges"],
+    )
+    @pytest.mark.parametrize("variant", ["binary", "unimodular"])
+    def test_matches_plain_loop(self, p, max_iters, step, variant):
+        out = run_lpnn(p, variant, max_iters=max_iters, step=step)
+        seq, trace, iterations, converged = replay_lpnn(p, variant, max_iters, step)
+        assert out.trace.tobytes() == trace.tobytes()
+        assert out.iterations == iterations and out.converged == converged
+        assert converged == (p.n == 1)
+        assert out.sequence.dtype == seq.dtype and out.sequence.tobytes() == seq.tobytes()
+        assert out.metrics == metric_bundle(p, seq)
+
+    @pytest.mark.parametrize("variant", ["binary", "unimodular"])
+    def test_divergence_at_the_same_step(self, variant):
+        p = make_problem(16, (2, 3), (6, 7), alpha=2.0, seed=17)
+        diverged_at = replay_lpnn(p, variant, 2000, step=10.0)
+        assert isinstance(diverged_at, int)
+        run_lpnn(p, variant, max_iters=diverged_at - 1, step=10.0)
+        with pytest.raises(DivergenceError):
+            run_lpnn(p, variant, max_iters=diverged_at, step=10.0)

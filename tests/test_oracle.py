@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -14,7 +14,7 @@ from specseq import (
     metric_bundle,
     run_design,
 )
-from specseq import rounding
+from specseq import oracle, rounding
 from specseq.sdp import SdpSolution
 
 
@@ -159,3 +159,28 @@ class TestTieBreak:
         out = exhaustive_search(make_problem(4, (1,), ()))
         assert out.best_by_chi[1].reciprocal_dynamic_range == 1.0
         assert out.best_by_chi[0].tolist() == [1, -1, -1, -1]
+
+
+class TestOptimumMetrics:
+    @pytest.mark.parametrize(
+        "message, interferer, alpha",
+        [
+            ((1, 8), (4, 6), 4.0),  # oracle-16-b of the benchmark's compare workload
+            ((2, 3), (6, 7), 2.0),  # the CLI tests' problem
+            # basis width 10: with OpenBLAS 0.3.31 a lone re-score differs from the block row here
+            ((1, 2, 3), (5, 6), 4.0),
+        ],
+    )
+    def test_metrics_are_the_selecting_block_row(self, message, interferer, alpha):
+        p = make_problem(16, message, interferer, alpha)
+        out = exhaustive_search(p)
+        for seq, bundle in (out.best_by_power, out.best_by_rho, out.best_by_chi):
+            rows = [
+                metrics.row(int(idx))
+                for block, metrics in oracle._enumerate(p)
+                for idx in np.flatnonzero((block == seq).all(axis=1))
+            ]
+            assert len(rows) == 1
+            assert [float(v).hex() for v in astuple(bundle)] == [
+                float(v).hex() for v in astuple(rows[0])
+            ]
