@@ -67,15 +67,10 @@ def cmd_design(args) -> int:
     except InfeasibleRelaxationError as exc:
         print(f"relaxation infeasible: {exc}", file=sys.stderr)
         _emit(
-            {
-                "best": None,
-                "n_feasible": 0,
-                "n_trials": 0,
-                "feasibility_rate": 0.0,
-                "gamma_min_feasible": None,
-                "beta": None,
-                "score_kind": score.value,
-            }
+            rounding.DesignResult(
+                best=None, n_feasible=0, n_trials=0, feasibility_rate=0.0,
+                gamma_min_feasible=None, beta=None, score_kind=score,
+            ).to_json_dict()
         )
         return 2
     result = rounding.run_design(p, sol, score=score)

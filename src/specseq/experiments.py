@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from itertools import combinations
 
@@ -36,6 +36,11 @@ _WIDTH_MESSAGE_RUNS = ((1, 10), (50, 11))
 _WIDTH_INTERFERER_START = 20
 
 _BASE_COLUMNS = ("kind", "version", "seed", "n", "alpha", "trials", "repetitions")
+_STAT_COLUMNS = ("sweep", "statistic", "value", "std_error")
+_BASELINE_COLUMNS = (
+    "width", "method", "mean_rho", "se_rho", "mean_seconds",
+    "n_runs", "n_perfect", "finite_mean_rho", "n_monotone",
+)
 
 
 class ExperimentKind(Enum):
@@ -46,13 +51,6 @@ class ExperimentKind(Enum):
     ORACLE_COMPARISON = "OracleComparison"
     BASELINE_COMPARISON = "BaselineComparison"
 
-    @classmethod
-    def from_string(cls, name: str) -> "ExperimentKind":
-        for kind in cls:
-            if kind.value == name:
-                return kind
-        raise ValueError(f"unknown experiment kind {name!r}")
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -61,7 +59,6 @@ class ExperimentConfig:
     sweep: tuple
     repetitions: int
     seed: int
-    paper_scale: bool = False
     shape_max_iters: int = 10000
     lpnn_max_iters: int = 10000
 
@@ -145,7 +142,7 @@ def default_config(
         )
         top = 10.0 if paper_scale else 5.0
         sweep = tuple(np.arange(0.5, top + 0.25, 0.5))
-        return ExperimentConfig(kind, problem, sweep, 1, seed, paper_scale)
+        return ExperimentConfig(kind, problem, sweep, 1, seed)
     if kind is ExperimentKind.FEASIBILITY_VS_WIDTH:
         problem = DesignProblem(
             n=n,
@@ -156,7 +153,7 @@ def default_config(
             seed=seed,
         )
         sweep = tuple(range(1, 21 if paper_scale else 11))
-        return ExperimentConfig(kind, problem, sweep, 1, seed, paper_scale)
+        return ExperimentConfig(kind, problem, sweep, 1, seed)
     if kind is ExperimentKind.RATIO_HISTOGRAM:
         problem = DesignProblem(
             n=n,
@@ -166,13 +163,13 @@ def default_config(
             trials=1000000 if paper_scale else 10000,
             seed=seed,
         )
-        return ExperimentConfig(kind, problem, (problem.trials,), 1, seed, paper_scale)
+        return ExperimentConfig(kind, problem, (problem.trials,), 1, seed)
     if kind is ExperimentKind.BETA_DISTRIBUTION:
         problem = DesignProblem(
             n=32, message=BandSpec((1,)), interferer=BandSpec((4,)), alpha=1.0, seed=seed
         )
         cells = ((32, 4, 4), (64, 8, 8)) + (((128, 12, 12),) if paper_scale else ())
-        return ExperimentConfig(kind, problem, cells, 1000, seed, paper_scale)
+        return ExperimentConfig(kind, problem, cells, 1000, seed)
     if kind is ExperimentKind.ORACLE_COMPARISON:
         problem = DesignProblem(
             n=16,
@@ -186,7 +183,7 @@ def default_config(
             (256, 1024, 4096, 16384, 65536) if paper_scale else (64, 256, 1024, 4096)
         )
         reps = 420 if paper_scale else 50
-        return ExperimentConfig(kind, problem, sweep, reps, seed, paper_scale)
+        return ExperimentConfig(kind, problem, sweep, reps, seed)
     if kind is ExperimentKind.BASELINE_COMPARISON:
         problem = DesignProblem(
             n=n,
@@ -197,28 +194,19 @@ def default_config(
             seed=seed,
         )
         reps = 10 if paper_scale else 20
-        return ExperimentConfig(kind, problem, tuple(range(1, 11)), reps, seed, paper_scale)
+        return ExperimentConfig(kind, problem, tuple(range(1, 11)), reps, seed)
     raise ValueError(f"unknown kind {kind!r}")
 
 
 def config_from_json_dict(data: dict) -> ExperimentConfig:
     """Build a config from a JSON object, filling unspecified parts with defaults."""
-    known = {
-        "kind",
-        "problem",
-        "sweep",
-        "repetitions",
-        "seed",
-        "paper_scale",
-        "shape_max_iters",
-        "lpnn_max_iters",
-    }
+    known = {f.name for f in fields(ExperimentConfig)} | {"paper_scale"}
     unknown = set(data) - known
     if unknown:
         raise ValueError(f"unknown experiment fields: {sorted(unknown)}")
     if "kind" not in data:
         raise ValueError("experiment config requires a 'kind' field")
-    kind = ExperimentKind.from_string(data["kind"])
+    kind = ExperimentKind(data["kind"])
     base = default_config(
         kind, seed=int(data.get("seed", 0)), paper_scale=bool(data.get("paper_scale", False))
     )
@@ -228,11 +216,9 @@ def config_from_json_dict(data: dict) -> ExperimentConfig:
     if "sweep" in data:
         sweep = data["sweep"]
         updates["sweep"] = tuple(tuple(v) if isinstance(v, list) else v for v in sweep)
-    if "repetitions" in data:
-        updates["repetitions"] = int(data["repetitions"])
-    for name in ("shape_max_iters", "lpnn_max_iters"):
+    for name in ("repetitions", "shape_max_iters", "lpnn_max_iters"):
         if name in data:
-            updates[name] = type(getattr(base, name))(data[name])
+            updates[name] = int(data[name])
     return replace(base, **updates)
 
 
@@ -259,6 +245,10 @@ def _map_jobs(fn, args_list, jobs: int):
 
 def _child_seed(root: np.random.SeedSequence, index: int) -> int:
     return int(np.random.SeedSequence(root.entropy, spawn_key=(index,)).generate_state(1)[0])
+
+
+def _stat(sweep, statistic: str, value, std_error=0.0) -> dict:
+    return {"sweep": sweep, "statistic": statistic, "value": value, "std_error": std_error}
 
 
 def _binomial_se(rate: float, count: int) -> float:
@@ -297,10 +287,7 @@ def _feasibility_point(args):
         sol = sdp.solve_relaxation(p)
     except InfeasibleRelaxationError as exc:
         # flush a sentinel row instead of losing the whole sweep
-        return [
-            {"sweep": sweep_value, "statistic": "FAILED",
-             "value": type(exc).__name__, "std_error": None}
-        ]
+        return [_stat(sweep_value, "FAILED", type(exc).__name__, None)]
     res = rounding.run_design(p, sol, retain=True)
     table = res.trial_table
     rate = res.feasibility_rate
@@ -310,59 +297,44 @@ def _feasibility_point(args):
     _, uniform_feasible = _uniform_metrics(p, p.trials, np.random.default_rng(uniform_seed))
     uniform_rate = float(np.mean(uniform_feasible))
     rows = [
-        {"sweep": sweep_value, "statistic": "rounded_feasible_rate", "value": rate,
-         "std_error": _binomial_se(rate, p.trials)},
-        {"sweep": sweep_value, "statistic": "uniform_feasible_rate", "value": uniform_rate,
-         "std_error": _binomial_se(uniform_rate, p.trials)},
-        {"sweep": sweep_value, "statistic": "threshold_exceed_rate", "value": exceed,
-         "std_error": _binomial_se(exceed, p.trials)},
-        {"sweep": sweep_value, "statistic": "beta", "value": res.beta, "std_error": 0.0},
+        _stat(sweep_value, "rounded_feasible_rate", rate, _binomial_se(rate, p.trials)),
+        _stat(sweep_value, "uniform_feasible_rate", uniform_rate,
+              _binomial_se(uniform_rate, p.trials)),
+        _stat(sweep_value, "threshold_exceed_rate", exceed, _binomial_se(exceed, p.trials)),
+        _stat(sweep_value, "beta", res.beta),
     ]
     if k:
-        rows.append(
-            {"sweep": sweep_value, "statistic": "mcdiarmid_bound",
-             "value": rounding.mcdiarmid_bound(p), "std_error": 0.0}
-        )
+        rows.append(_stat(sweep_value, "mcdiarmid_bound", rounding.mcdiarmid_bound(p)))
     return rows
 
 
-def exp_feasibility_vs_alpha(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
+def _feasibility_curve(cfg: ExperimentConfig, points, jobs: int) -> list:
+    """Rows of one feasibility point per (problem, sweep value), seeded in order."""
+    root = np.random.SeedSequence(cfg.seed)
+    args = [(p, value, _child_seed(root, i)) for i, (p, value) in enumerate(points)]
+    return [row for rows in _map_jobs(_feasibility_point, args, jobs) for row in rows]
+
+
+def _feasibility_vs_alpha(cfg: ExperimentConfig, jobs: int) -> list:
     """Feasibility rates of rounded and uniform sequences across tolerances."""
-    root = np.random.SeedSequence(cfg.seed)
-    args = [
-        (replace(cfg.problem, alpha=float(a)), float(a), _child_seed(root, i))
-        for i, a in enumerate(cfg.sweep)
-    ]
-    report = ExperimentReport(
-        cfg.kind, _metadata(cfg), ("sweep", "statistic", "value", "std_error")
-    )
-    for rows in _map_jobs(_feasibility_point, args, jobs):
-        report.rows.extend(rows)
-    return report
+    points = [(replace(cfg.problem, alpha=float(a)), float(a)) for a in cfg.sweep]
+    return _feasibility_curve(cfg, points, jobs)
 
 
-def exp_feasibility_vs_width(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
+def _feasibility_vs_width(cfg: ExperimentConfig, jobs: int) -> list:
     """Feasibility rates across contiguous interferer band widths."""
-    root = np.random.SeedSequence(cfg.seed)
-    args = []
-    for i, width in enumerate(cfg.sweep):
-        band = _interferer_band_for_width(int(width), cfg.problem.n)
-        args.append(
-            (replace(cfg.problem, interferer=band), int(width), _child_seed(root, i))
-        )
-    report = ExperimentReport(
-        cfg.kind, _metadata(cfg), ("sweep", "statistic", "value", "std_error")
-    )
-    for rows in _map_jobs(_feasibility_point, args, jobs):
-        report.rows.extend(rows)
-    return report
+    p = cfg.problem
+    points = [
+        (replace(p, interferer=_interferer_band_for_width(w, p.n)), w) for w in map(int, cfg.sweep)
+    ]
+    return _feasibility_curve(cfg, points, jobs)
 
 
 # ----------------------------------------------------------------------
 # approximation-ratio histogram
 
 
-def exp_ratio_histogram(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
+def _ratio_histogram(cfg: ExperimentConfig, jobs: int) -> list:
     """Distribution of the approximation ratio over feasible candidates."""
     p = cfg.problem
     root = np.random.SeedSequence(cfg.seed)
@@ -370,29 +342,21 @@ def exp_ratio_histogram(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentRepor
     res = rounding.run_design(p, sol, retain=True)
     table = res.trial_table
 
-    report = ExperimentReport(
-        cfg.kind, _metadata(cfg), ("sweep", "statistic", "value", "std_error")
-    )
     edges = np.linspace(0.0, 1.0, 31)
     centers = (edges[:-1] + edges[1:]) / 2.0
 
     feasible_gamma = table.gamma[table.feasible]
-    counts, _ = np.histogram(np.clip(feasible_gamma, 0.0, 1.0), bins=edges)
-    for center, count in zip(centers, counts):
-        report.rows.append(
-            {"sweep": float(center), "statistic": "rounded_gamma_count",
-             "value": int(count), "std_error": 0.0}
-        )
-
     f_u, uniform_feasible = _uniform_metrics(
         p, p.trials, np.random.default_rng(_child_seed(root, 0))
     )
     uniform_gamma = f_u[uniform_feasible] / sol.objective
-    counts_u, _ = np.histogram(np.clip(uniform_gamma, 0.0, 1.0), bins=edges)
-    for center, count in zip(centers, counts_u):
-        report.rows.append(
-            {"sweep": float(center), "statistic": "uniform_gamma_count",
-             "value": int(count), "std_error": 0.0}
+    rows = []
+    for statistic, gamma in (
+        ("rounded_gamma_count", feasible_gamma), ("uniform_gamma_count", uniform_gamma)
+    ):
+        counts, _ = np.histogram(np.clip(gamma, 0.0, 1.0), bins=edges)
+        rows.extend(
+            _stat(float(center), statistic, int(count)) for center, count in zip(centers, counts)
         )
 
     eig = rounding.quantized_principal_eigenvector(p, sol)
@@ -406,11 +370,8 @@ def exp_ratio_histogram(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentRepor
         ("uniform_n_feasible", int(uniform_feasible.sum())),
         ("relaxation_objective", sol.objective),
     ]
-    for name, value in scalars:
-        report.rows.append(
-            {"sweep": None, "statistic": name, "value": value, "std_error": 0.0}
-        )
-    return report
+    rows.extend(_stat(None, name, value) for name, value in scalars)
+    return rows
 
 
 # ----------------------------------------------------------------------
@@ -434,32 +395,23 @@ def _beta_cell(args):
     finite = values[np.isfinite(values)]
     below = float(np.mean(values < math.pi - 1.0))
     rows = [
-        {"sweep": label, "statistic": "fraction_below_pi_minus_1", "value": below,
-         "std_error": _binomial_se(below, reps)},
-        {"sweep": label, "statistic": "n_finite", "value": int(finite.size), "std_error": 0.0},
+        _stat(label, "fraction_below_pi_minus_1", below, _binomial_se(below, reps)),
+        _stat(label, "n_finite", int(finite.size)),
     ]
     for q in (1, 5, 10, 20, 30, 40, 50, 60, 70, 80, 90, 95, 99):
-        rows.append(
-            {"sweep": label, "statistic": f"beta_q{q:02d}",
-             "value": float(np.percentile(finite, q)) if finite.size else None,
-             "std_error": 0.0}
-        )
+        quantile = float(np.percentile(finite, q)) if finite.size else None
+        rows.append(_stat(label, f"beta_q{q:02d}", quantile))
     return rows
 
 
-def exp_beta_distribution(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
+def _beta_distribution(cfg: ExperimentConfig, jobs: int) -> list:
     """Arcsin trace ratio of random unit-diagonal PSD matrices per (n, K, R) cell."""
     root = np.random.SeedSequence(cfg.seed)
     args = [
         (int(n), int(k), int(rank), cfg.repetitions, _child_seed(root, i))
         for i, (n, k, rank) in enumerate(cfg.sweep)
     ]
-    report = ExperimentReport(
-        cfg.kind, _metadata(cfg), ("sweep", "statistic", "value", "std_error")
-    )
-    for rows in _map_jobs(_beta_cell, args, jobs):
-        report.rows.extend(rows)
-    return report
+    return [row for rows in _map_jobs(_beta_cell, args, jobs) for row in rows]
 
 
 # ----------------------------------------------------------------------
@@ -482,15 +434,21 @@ def oracle_band_choices(n: int = 16):
     return choices
 
 
-def _prefix_best(table, feasible, length, kind_values):
-    """Best score over the feasible prefix, or None if no feasible trial."""
-    mask = feasible[:length]
-    if not mask.any():
-        return None
-    return {name: float(values[:length][mask].max()) for name, values in kind_values.items()}
+def _ratio(achieved: float, target: float) -> float:
+    """Achieved score over the exhaustive optimum; an infinite optimum is met only by infinity."""
+    if math.isinf(target):
+        return 1.0 if math.isinf(achieved) else 0.0
+    if target == 0.0:
+        return 1.0
+    return achieved / target
 
 
 def _oracle_job(args):
+    """Per prefix length, the score ratios of the best feasible trial to the optima.
+
+    None for a layout without a feasible sequence or relaxation; a length
+    whose trial prefix holds no feasible trial maps to None.
+    """
     msg, intf, alpha, trials, seed, sweep = args
     p = DesignProblem(
         n=16, message=BandSpec(msg), interferer=BandSpec(intf),
@@ -498,45 +456,27 @@ def _oracle_job(args):
     )
     try:
         best = oracle.exhaustive_search(p)
-    except NoFeasibleError:
-        return {"skipped": True}
-    try:
         sol = sdp.solve_relaxation(p)
-    except InfeasibleRelaxationError:
-        return {"skipped": True}
-    res = rounding.run_design(p, sol, retain=True)
-    table = res.trial_table
-    kind_values = {
-        "power": table.message_power,
-        "rho": table.rejection_ratio,
-        "chi": table.reciprocal_dynamic_range,
+    except (NoFeasibleError, InfeasibleRelaxationError):
+        return None
+    table = rounding.run_design(p, sol, retain=True).trial_table
+    scores = {
+        "power": (table.message_power, best.best_by_power[1].message_power),
+        "rho": (table.rejection_ratio, best.best_by_rho[1].rejection_ratio),
+        "chi": (table.reciprocal_dynamic_range, best.best_by_chi[1].reciprocal_dynamic_range),
     }
-    oracle_best = {
-        "power": best.best_by_power[1].message_power,
-        "rho": best.best_by_rho[1].rejection_ratio,
-        "chi": best.best_by_chi[1].reciprocal_dynamic_range,
-    }
-    out = {"skipped": False, "per_length": {}}
-    for length in sweep:
-        found = _prefix_best(table, table.feasible, int(length), kind_values)
-        if found is None:
-            out["per_length"][int(length)] = None
-            continue
-        ratios = {}
-        for name in ("power", "rho", "chi"):
-            target = oracle_best[name]
-            achieved = found[name]
-            if math.isinf(target):
-                ratios[name] = 1.0 if math.isinf(achieved) else 0.0
-            elif target == 0.0:
-                ratios[name] = 1.0
-            else:
-                ratios[name] = achieved / target
-        out["per_length"][int(length)] = ratios
+    out = dict.fromkeys(map(int, sweep))
+    for length in out:
+        mask = table.feasible[:length]
+        if mask.any():
+            out[length] = {
+                name: _ratio(float(values[:length][mask].max()), target)
+                for name, (values, target) in scores.items()
+            }
     return out
 
 
-def exp_oracle_comparison(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
+def _oracle_comparison(cfg: ExperimentConfig, jobs: int) -> list:
     """Metric ratios of the randomized design against exhaustive optima at n=16."""
     root = np.random.SeedSequence(cfg.seed)
     choices = oracle_band_choices(16)
@@ -551,46 +491,23 @@ def exp_oracle_comparison(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentRep
     ]
     results = _map_jobs(_oracle_job, args, jobs)
 
-    report = ExperimentReport(
-        cfg.kind, _metadata(cfg), ("sweep", "statistic", "value", "std_error")
-    )
-    n_skipped = sum(1 for r in results if r["skipped"])
-    active = [r for r in results if not r["skipped"]]
-    report.rows.append(
-        {"sweep": None, "statistic": "skipped_configs", "value": n_skipped, "std_error": 0.0}
-    )
-    report.rows.append(
-        {"sweep": None, "statistic": "n_configs", "value": len(results), "std_error": 0.0}
-    )
-    for length in cfg.sweep:
-        length = int(length)
-        ratio_lists = {"power": [], "rho": [], "chi": []}
-        empty = 0
-        for r in active:
-            ratios = r["per_length"][length]
-            if ratios is None:
-                empty += 1
-                continue
-            for name in ratio_lists:
-                ratio_lists[name].append(ratios[name])
-        for name, values in ratio_lists.items():
-            if values:
-                mean, se = _mean_se(values)
-                report.rows.append(
-                    {"sweep": length, "statistic": f"{name}_ratio_mean",
-                     "value": mean, "std_error": se}
-                )
-        if ratio_lists["power"]:
-            exact = float(np.mean(np.abs(np.asarray(ratio_lists["power"]) - 1.0) <= 1e-9))
-            report.rows.append(
-                {"sweep": length, "statistic": "power_exact_match_rate",
-                 "value": exact, "std_error": _binomial_se(exact, len(ratio_lists["power"]))}
+    active = [r for r in results if r is not None]
+    rows = [
+        _stat(None, "skipped_configs", len(results) - len(active)),
+        _stat(None, "n_configs", len(results)),
+    ]
+    for length in map(int, cfg.sweep):
+        found = [r[length] for r in active if r[length] is not None]
+        if found:
+            for name in ("power", "rho", "chi"):
+                mean, se = _mean_se([ratios[name] for ratios in found])
+                rows.append(_stat(length, f"{name}_ratio_mean", mean, se))
+            exact = float(np.mean([abs(ratios["power"] - 1.0) <= 1e-9 for ratios in found]))
+            rows.append(
+                _stat(length, "power_exact_match_rate", exact, _binomial_se(exact, len(found)))
             )
-        report.rows.append(
-            {"sweep": length, "statistic": "no_feasible_configs", "value": empty,
-             "std_error": 0.0}
-        )
-    return report
+        rows.append(_stat(length, "no_feasible_configs", len(active) - len(found)))
+    return rows
 
 
 # ----------------------------------------------------------------------
@@ -598,7 +515,7 @@ def exp_oracle_comparison(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentRep
 
 
 def _random_disjoint_bands(n, message_width, interferer_width, rng):
-    """Contiguous random-start bands that do not overlap."""
+    """Contiguous random-start bands that do not overlap; both widths must fit in n together."""
     while True:
         m_start = int(rng.integers(0, n - message_width + 1))
         i_start = int(rng.integers(0, n - interferer_width + 1))
@@ -663,8 +580,16 @@ _BASELINE_METHODS = (
 )
 
 
-def exp_baseline_comparison(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
+def _baseline_comparison(cfg: ExperimentConfig, jobs: int) -> list:
     """Mean rejection ratio and wall-clock time per method across interferer widths."""
+    n, message_width = cfg.problem.n, len(cfg.problem.message)
+    for width in map(int, cfg.sweep):
+        if message_width + width > n:
+            # no two disjoint contiguous bands fit, so the band draw would never return
+            raise ValueError(
+                f"interferer width {width} and message width {message_width} "
+                f"do not fit disjointly in n={n}"
+            )
     root = np.random.SeedSequence(cfg.seed)
     args = []
     for wi, width in enumerate(cfg.sweep):
@@ -672,21 +597,15 @@ def exp_baseline_comparison(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentR
             args.append((cfg, int(width), _child_seed(root, wi * cfg.repetitions + rep)))
     results = _map_jobs(_baseline_job, args, jobs)
 
-    report = ExperimentReport(
-        cfg.kind, _metadata(cfg),
-        ("width", "method", "mean_rho", "se_rho", "mean_seconds",
-         "n_runs", "n_perfect", "finite_mean_rho", "n_monotone"),
-    )
+    rows = []
     for wi, width in enumerate(cfg.sweep):
         chunk = results[wi * cfg.repetitions : (wi + 1) * cfg.repetitions]
         for method in _BASELINE_METHODS:
-            entries = [r[method] for r in chunk if r.get(method) is not None]
+            entries = [r[method] for r in chunk if r[method] is not None]
+            row = dict.fromkeys(_BASELINE_COLUMNS)
+            row.update(width=int(width), method=method, n_runs=len(entries))
+            rows.append(row)
             if not entries:
-                report.rows.append(
-                    {"width": int(width), "method": method, "mean_rho": None,
-                     "se_rho": None, "mean_seconds": None, "n_runs": 0,
-                     "n_perfect": None, "finite_mean_rho": None, "n_monotone": None}
-                )
                 continue
             rhos = np.asarray([e[0] for e in entries], dtype=float)
             mean, se = _mean_se(rhos)
@@ -694,29 +613,28 @@ def exp_baseline_comparison(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentR
             # infinite ratio; split those out so saturated means stay
             # interpretable
             finite = rhos[np.isfinite(rhos)]
-            monotone = None
-            if method.startswith("shape"):
-                monotone = sum(1 for e in entries if e[2])
-            report.rows.append(
-                {"width": int(width), "method": method, "mean_rho": mean, "se_rho": se,
-                 "mean_seconds": float(np.mean([e[1] for e in entries])),
-                 "n_runs": len(entries),
-                 "n_perfect": int(np.isinf(rhos).sum()),
-                 "finite_mean_rho": float(finite.mean()) if finite.size else None,
-                 "n_monotone": monotone}
+            row.update(
+                mean_rho=mean, se_rho=se,
+                mean_seconds=float(np.mean([e[1] for e in entries])),
+                n_perfect=int(np.isinf(rhos).sum()),
+                finite_mean_rho=float(finite.mean()) if finite.size else None,
+                n_monotone=sum(e[2] for e in entries) if method.startswith("shape") else None,
             )
-    return report
+    return rows
 
 
-_DISPATCH = {
-    ExperimentKind.FEASIBILITY_VS_ALPHA: exp_feasibility_vs_alpha,
-    ExperimentKind.FEASIBILITY_VS_WIDTH: exp_feasibility_vs_width,
-    ExperimentKind.RATIO_HISTOGRAM: exp_ratio_histogram,
-    ExperimentKind.BETA_DISTRIBUTION: exp_beta_distribution,
-    ExperimentKind.ORACLE_COMPARISON: exp_oracle_comparison,
-    ExperimentKind.BASELINE_COMPARISON: exp_baseline_comparison,
+_HARNESSES = {
+    ExperimentKind.FEASIBILITY_VS_ALPHA: _feasibility_vs_alpha,
+    ExperimentKind.FEASIBILITY_VS_WIDTH: _feasibility_vs_width,
+    ExperimentKind.RATIO_HISTOGRAM: _ratio_histogram,
+    ExperimentKind.BETA_DISTRIBUTION: _beta_distribution,
+    ExperimentKind.ORACLE_COMPARISON: _oracle_comparison,
+    ExperimentKind.BASELINE_COMPARISON: _baseline_comparison,
 }
 
 
 def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
-    return _DISPATCH[cfg.kind](cfg, jobs)
+    """Run the config's harness; wrap its rows with the config echo and the kind's columns."""
+    baseline = cfg.kind is ExperimentKind.BASELINE_COMPARISON
+    columns = _BASELINE_COLUMNS if baseline else _STAT_COLUMNS
+    return ExperimentReport(cfg.kind, _metadata(cfg), columns, _HARNESSES[cfg.kind](cfg, jobs))

@@ -78,7 +78,7 @@ class DesignResult:
     n_trials: int
     feasibility_rate: float
     gamma_min_feasible: float | None
-    beta: float
+    beta: float | None
     score_kind: ScoreKind
     trial_table: TrialTable | None = None
 

@@ -193,7 +193,7 @@ def test_criterion_6_beta_empirics():
     # arcsin trace ratios stay below pi - 1
     cfg = ex.default_config(ex.ExperimentKind.BETA_DISTRIBUTION, seed=0)
     cfg = replace(cfg, sweep=((32, 4, 4), (64, 8, 8)), repetitions=1000)
-    report = ex.exp_beta_distribution(cfg)
+    report = ex.run_experiment(cfg)
     fractions = report_stat(report, "fraction_below_pi_minus_1")
     for cell, (value, _) in fractions.items():
         assert value >= 0.99, f"cell {cell}: fraction {value}"
@@ -209,7 +209,7 @@ def test_criterion_7_feasibility_curves():
     alpha_cfg = ex.default_config(ex.ExperimentKind.FEASIBILITY_VS_ALPHA, seed=0)
     assert alpha_cfg.problem.n == 64
     assert alpha_cfg.sweep == tuple(np.arange(0.5, 5.25, 0.5))
-    report = ex.exp_feasibility_vs_alpha(alpha_cfg)
+    report = ex.run_experiment(alpha_cfg)
     rounded = report_stat(report, "rounded_feasible_rate")
     uniform = report_stat(report, "uniform_feasible_rate")
     exceed = report_stat(report, "threshold_exceed_rate")
@@ -224,7 +224,7 @@ def test_criterion_7_feasibility_curves():
 
     width_cfg = ex.default_config(ex.ExperimentKind.FEASIBILITY_VS_WIDTH, seed=0)
     assert width_cfg.sweep == tuple(range(1, 11))
-    report_w = ex.exp_feasibility_vs_width(width_cfg)
+    report_w = ex.run_experiment(width_cfg)
     rounded_w = report_stat(report_w, "rounded_feasible_rate")
     uniform_w = report_stat(report_w, "uniform_feasible_rate")
     exceed_w = report_stat(report_w, "threshold_exceed_rate")
@@ -256,7 +256,7 @@ def test_criterion_8_baseline_ordering():
     assert len(cfg.problem.message) == 10
     assert cfg.sweep == tuple(range(1, 11))
     assert cfg.repetitions == 20
-    report = ex.exp_baseline_comparison(cfg)
+    report = ex.run_experiment(cfg)
     by_width = {}
     for row in report.rows:
         by_width.setdefault(row["width"], {})[row["method"]] = row

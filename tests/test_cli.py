@@ -193,6 +193,23 @@ class TestExperimentCommand:
         assert run_cli(capsys, "experiment", str(cfg), "--output", str(b), "--jobs", "1")[0] == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_bands_that_cannot_fit_exit_1(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(
+            json.dumps(
+                {
+                    "kind": "BaselineComparison",
+                    "sweep": [7],
+                    "repetitions": 1,
+                    "problem": {"n": 16, "message": list(range(10)), "interferer": [12],
+                                "alpha": 3.0, "trials": 50},
+                }
+            )
+        )
+        code, _, err = run_cli(capsys, "experiment", str(cfg), "--jobs", "1")
+        assert code == 1
+        assert "interferer width 7" in err and "n=16" in err
+
 
 class TestDumpSdp:
     def test_matrix_dump(self, problem_config, capsys, tmp_path):

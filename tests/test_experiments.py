@@ -80,7 +80,7 @@ class TestConfigParsing:
 
 class TestFeasibilityExperiments:
     def test_alpha_sweep_properties(self):
-        report = ex.exp_feasibility_vs_alpha(small_alpha_config())
+        report = ex.run_experiment(small_alpha_config())
         rounded = stats_by_sweep(report, "rounded_feasible_rate")
         uniform = stats_by_sweep(report, "uniform_feasible_rate")
         exceed = stats_by_sweep(report, "threshold_exceed_rate")
@@ -106,7 +106,7 @@ class TestFeasibilityExperiments:
             seed=4,
         )
         cfg = replace(cfg, problem=problem, sweep=(1, 2, 3))
-        report = ex.exp_feasibility_vs_width(cfg)
+        report = ex.run_experiment(cfg)
         rounded = stats_by_sweep(report, "rounded_feasible_rate")
         uniform = stats_by_sweep(report, "uniform_feasible_rate")
         widths = sorted(rounded)
@@ -141,13 +141,13 @@ class TestFeasibilityExperiments:
             alpha=0.0, trials=100, seed=2,
         )
         cfg = replace(cfg, problem=problem, sweep=(0.0,))
-        report = ex.exp_feasibility_vs_alpha(cfg)
+        report = ex.run_experiment(cfg)
         assert [r["statistic"] for r in report.rows] == ["FAILED"]
         assert report.rows[0]["value"] == "InfeasibleRelaxationError"
 
     def test_default_filename_pattern(self):
         cfg = small_alpha_config(seed=9)
-        report = ex.exp_feasibility_vs_alpha(replace(cfg, sweep=(2.0,)))
+        report = ex.run_experiment(replace(cfg, sweep=(2.0,)))
         assert report.default_filename() == "FeasibilityVsAlpha_9.csv"
 
 
@@ -163,7 +163,7 @@ class TestRatioHistogram:
             seed=7,
         )
         cfg = replace(cfg, problem=problem, sweep=(3000,))
-        report = ex.exp_ratio_histogram(cfg)
+        report = ex.run_experiment(cfg)
         rounded = [r for r in report.rows if r["statistic"] == "rounded_gamma_count"]
         uniform = [r for r in report.rows if r["statistic"] == "uniform_gamma_count"]
         assert len(rounded) == 30 and len(uniform) == 30
@@ -180,7 +180,7 @@ class TestBetaDistribution:
     def test_cells_report_fraction_below_threshold(self):
         cfg = ex.default_config(ex.ExperimentKind.BETA_DISTRIBUTION, seed=8)
         cfg = replace(cfg, sweep=((32, 4, 4),), repetitions=300)
-        report = ex.exp_beta_distribution(cfg)
+        report = ex.run_experiment(cfg)
         frac = stats_by_sweep(report, "fraction_below_pi_minus_1")
         assert frac["n32_K4_R4"][0] >= 0.98
         quantile = stats_by_sweep(report, "beta_q50")
@@ -194,7 +194,7 @@ class TestOracleComparison:
     def test_ratios_bounded_and_improving(self):
         cfg = ex.default_config(ex.ExperimentKind.ORACLE_COMPARISON, seed=10)
         cfg = replace(cfg, repetitions=6, sweep=(64, 1024))
-        report = ex.exp_oracle_comparison(cfg)
+        report = ex.run_experiment(cfg)
         power = stats_by_sweep(report, "power_ratio_mean")
         assert set(power) == {64, 1024}
         for length, (value, _) in power.items():
@@ -215,7 +215,7 @@ class TestBaselineComparison:
             cfg, problem=problem, sweep=(2,), repetitions=2,
             shape_max_iters=300, lpnn_max_iters=300,
         )
-        report = ex.exp_baseline_comparison(cfg)
+        report = ex.run_experiment(cfg)
         methods = {r["method"] for r in report.rows}
         assert methods == set(ex._BASELINE_METHODS)
         for row in report.rows:
@@ -227,3 +227,36 @@ class TestBaselineComparison:
             "width", "method", "mean_rho", "se_rho", "mean_seconds",
             "n_runs", "n_perfect", "finite_mean_rho", "n_monotone",
         )
+
+    def test_bands_that_cannot_fit_are_rejected_before_any_job(self):
+        cfg = ex.default_config(ex.ExperimentKind.BASELINE_COMPARISON, seed=12)
+        problem = DesignProblem(
+            n=16, message=BandSpec(tuple(range(10))), interferer=BandSpec((12,)),
+            alpha=3.0, trials=50, seed=12,
+        )
+        cfg = replace(
+            cfg, problem=problem, sweep=(7,), repetitions=1,
+            shape_max_iters=50, lpnn_max_iters=50,
+        )
+        with pytest.raises(ValueError, match="interferer width 7 .* n=16"):
+            ex.run_experiment(cfg)
+        report = ex.run_experiment(replace(cfg, sweep=(6,)))
+        assert {r["width"] for r in report.rows} == {6}
+
+
+class TestWorkerParallelism:
+    @pytest.mark.parametrize("kind", ["alpha", "beta"])
+    def test_pool_matches_serial_run(self, kind):
+        if kind == "alpha":
+            cfg = ex.default_config(ex.ExperimentKind.FEASIBILITY_VS_ALPHA, seed=3)
+            problem = DesignProblem(
+                n=16, message=BandSpec((2, 3)), interferer=BandSpec((6, 7)),
+                alpha=3.0, trials=400, seed=3,
+            )
+            cfg = replace(cfg, problem=problem, sweep=(0.0, 1.0, 2.0))
+        else:
+            cfg = ex.default_config(ex.ExperimentKind.BETA_DISTRIBUTION, seed=5)
+            cfg = replace(cfg, sweep=((16, 2, 2), (32, 4, 4)), repetitions=60)
+        # the process pool only starts for at least two jobs
+        assert len(cfg.sweep) >= 2
+        assert ex.run_experiment(cfg, jobs=2).rows == ex.run_experiment(cfg, jobs=1).rows
