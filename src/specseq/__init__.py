@@ -5,7 +5,6 @@ from .baselines import (
     BaselineResult,
     LpnnState,
     ShapeBounds,
-    ShapeState,
     lpnn_increments,
     run_lpnn,
     run_shape,
@@ -69,7 +68,7 @@ from .sdp import SdpSolution, solve_relaxation
 __all__ = [
     "__version__",
     # SHAPE and LPNN baselines
-    "BaselineResult", "LpnnState", "ShapeBounds", "ShapeState", "lpnn_increments",
+    "BaselineResult", "LpnnState", "ShapeBounds", "lpnn_increments",
     "run_lpnn", "run_shape", "shape_bounds_from_problem", "shape_scale_step",
     "shape_sequence_step", "shape_spectrum_step",
     # errors

@@ -10,7 +10,8 @@ with per-entry modulus constraints.
 
 Both work with the unitary DFT F[i, k] = exp(-2j*pi*i*k/n)/sqrt(n), whose
 products are FFTs: F^H s is ``np.fft.ifft(s, norm="ortho")`` and F x is
-``np.fft.fft(x, norm="ortho")``.
+``np.fft.fft(x, norm="ortho")``. SHAPE's block steps act on arrays, and the
+analysis F^H s of each new sequence is computed once: 2 FFTs per cycle.
 """
 
 from __future__ import annotations
@@ -27,6 +28,9 @@ UNBOUNDED = 1e6
 
 #: weight of the squared modulus penalty in LPNN's augmented Lagrangian
 LPNN_AUGMENT = 10.0
+
+#: SHAPE stops once the objective changes by at most this fraction of max(1, objective)
+SHAPE_TOL = 1e-10
 
 _SHAPE_STREAM = 101
 _LPNN_STREAM = 202
@@ -45,24 +49,12 @@ class ShapeBounds:
 
 
 @dataclass
-class ShapeState:
-    """Current iterate: sequence, auxiliary spectrum, complex scale, objective."""
-
-    sequence: np.ndarray
-    spectrum: np.ndarray
-    scale: complex
-    objective: float
-
-
-@dataclass
 class LpnnState:
     """Neurons (real-stacked for the unimodular variant), scale, multipliers."""
 
     neurons: np.ndarray
     scale: float
     multipliers: np.ndarray
-    weights: np.ndarray
-    augment: float
 
 
 @dataclass(frozen=True)
@@ -106,74 +98,55 @@ def _objective(analysis: np.ndarray, spectrum, scale) -> float:
     return float(np.sum(resid.real**2 + resid.imag**2))
 
 
-def shape_spectrum_step(state: ShapeState, bounds: ShapeBounds) -> ShapeState:
-    """Exact minimizer over the spectrum: radially clip F^H s / scale per bin."""
-    if state.scale == 0:
-        raise ZeroScaleError("scale factor is zero")
-    analysis = _analysis(state.sequence)
-    z = analysis / state.scale
+def _phase(z: np.ndarray) -> np.ndarray:
+    """z / |z| per entry, and 1 where z is 0."""
     mag = np.abs(z)
-    phase = np.where(mag == 0.0, 1.0 + 0.0j, z / np.where(mag == 0.0, 1.0, mag))
-    clipped = np.clip(mag, bounds.lower, bounds.upper)
-    x = phase * clipped
-    return ShapeState(
-        sequence=state.sequence,
-        spectrum=x,
-        scale=state.scale,
-        objective=_objective(analysis, x, state.scale),
-    )
+    return np.where(mag == 0.0, 1.0 + 0.0j, z / np.where(mag == 0.0, 1.0, mag))
 
 
-def shape_scale_step(state: ShapeState) -> ShapeState:
-    """Exact least-squares scale: x^H (F^H s) / ||x||^2."""
-    norm_sq = float(np.sum(state.spectrum.real**2 + state.spectrum.imag**2))
+def shape_spectrum_step(analysis: np.ndarray, scale: complex, bounds: ShapeBounds) -> np.ndarray:
+    """Exact minimizer over the spectrum: radially clip analysis / scale per bin."""
+    if scale == 0:
+        raise ZeroScaleError("scale factor is zero")
+    z = analysis / scale
+    return _phase(z) * np.clip(np.abs(z), bounds.lower, bounds.upper)
+
+
+def shape_scale_step(analysis: np.ndarray, spectrum: np.ndarray) -> complex:
+    """Exact least-squares scale: x^H (F^H s) / ||x||^2 for spectrum x."""
+    norm_sq = float(np.sum(spectrum.real**2 + spectrum.imag**2))
     if norm_sq == 0.0:
         raise ZeroSpectrumError("auxiliary spectrum is identically zero")
-    analysis = _analysis(state.sequence)
-    scale = complex(np.vdot(state.spectrum, analysis) / norm_sq)
-    return ShapeState(
-        sequence=state.sequence,
-        spectrum=state.spectrum,
-        scale=scale,
-        objective=_objective(analysis, state.spectrum, scale),
-    )
+    return complex(np.vdot(spectrum, analysis) / norm_sq)
 
 
-def shape_sequence_step(state: ShapeState, variant: str) -> ShapeState:
+def shape_sequence_step(spectrum: np.ndarray, scale: complex, variant: str) -> np.ndarray:
     """Exact minimizer over the sequence under the variant's constraint.
 
     The full DFT basis is unitary, so the objective separates per entry
     of s: the unimodular minimizer is the phase of (scale * F x)_i, and
     the binary minimizer is the sign of its real part (sign(0) -> +1).
     """
-    target = state.scale * _synthesis(state.spectrum)
+    target = scale * _synthesis(spectrum)
     if variant == "unimodular":
-        mag = np.abs(target)
-        seq = np.where(mag == 0.0, 1.0 + 0.0j, target / np.where(mag == 0.0, 1.0, mag))
-    elif variant == "binary":
-        seq = np.where(target.real >= 0.0, 1.0, -1.0)
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-    return ShapeState(
-        sequence=seq,
-        spectrum=state.spectrum,
-        scale=state.scale,
-        objective=_objective(_analysis(seq), state.spectrum, state.scale),
-    )
+        return _phase(target)
+    if variant == "binary":
+        return np.where(target.real >= 0.0, 1.0, -1.0)
+    raise ValueError(f"unknown variant {variant!r}")
 
 
 def run_shape(
     p: DesignProblem,
     variant: str = "binary",
     max_iters: int = 10000,
-    tol: float = 1e-10,
 ) -> BaselineResult:
     """Cycle spectrum, scale, and sequence steps from a seeded random start.
 
-    Stops when the relative objective change drops below tol or the
+    Stops when the relative objective change drops below SHAPE_TOL or the
     complex scale reaches 0 (converged), or after max_iters cycles (not
     converged). The objective trace is monotone non-increasing
-    because every step is an exact block minimizer.
+    because every step is an exact block minimizer. The objective and the
+    next cycle's spectrum and scale steps share one F^H s per sequence.
     """
     validate_problem(p)
     bounds = shape_bounds_from_problem(p)
@@ -185,29 +158,32 @@ def run_shape(
     else:
         raise ValueError(f"unknown variant {variant!r}")
 
-    state = ShapeState(sequence=seq, spectrum=np.zeros(p.n), scale=1.0 + 0.0j, objective=np.inf)
+    analysis = _analysis(seq)
+    scale = 1.0 + 0.0j
+    objective = np.inf
     trace = []
     iterations = 0
     converged = False
     for iterations in range(1, max_iters + 1):
-        previous = state.objective
-        state = shape_spectrum_step(state, bounds)
-        state = shape_scale_step(state)
-        if state.scale == 0:
+        previous = objective
+        spectrum = shape_spectrum_step(analysis, scale, bounds)
+        scale = shape_scale_step(analysis, spectrum)
+        if scale == 0:
             converged = True  # model term is dead; objective can no longer improve
             break
-        state = shape_sequence_step(state, variant)
-        trace.append(state.objective)
-        if np.isfinite(previous) and abs(previous - state.objective) <= tol * max(1.0, previous):
+        seq = shape_sequence_step(spectrum, scale, variant)
+        analysis = _analysis(seq)
+        objective = _objective(analysis, spectrum, scale)
+        trace.append(objective)
+        if np.isfinite(previous) and abs(previous - objective) <= SHAPE_TOL * max(1.0, previous):
             converged = True
             break
 
-    seq_out = state.sequence
     if variant == "binary":
-        seq_out = seq_out.real.astype(np.int8)
+        seq = seq.real.astype(np.int8)
     return BaselineResult(
-        sequence=seq_out,
-        metrics=metric_bundle(p, seq_out),
+        sequence=seq,
+        metrics=metric_bundle(p, seq),
         iterations=iterations,
         trace=np.asarray(trace),
         converged=converged,
@@ -240,18 +216,17 @@ class _LpnnKernel:
     neuron increment is its negative) and the modulus residuals in
     ``residual``, and returns the scale increment. Every ufunc writes
     through ``out=`` but takes its operands in the order of the plain
-    expression ``4.0 * F (w * (|F^H c|^2 - scale * target) * F^H c) +
-    (4 * augment * (|c|^2 - 1) + 2 * multipliers) * c`` (the real part of
-    its first term for binary neurons), so the results are bitwise those
+    expression ``4.0 * F ((|F^H c|^2 - scale * target) * F^H c) +
+    (4 * LPNN_AUGMENT * (|c|^2 - 1) + 2 * multipliers) * c`` (the real part
+    of its first term for binary neurons), so the results are bitwise those
     of evaluating it with temporaries.
     """
 
-    def __init__(self, target: np.ndarray, weights: np.ndarray, augment: float, unimodular: bool):
+    def __init__(self, target: np.ndarray, unimodular: bool):
         n = target.shape[0]
         dtype = complex if unimodular else float
         self.target = target
-        self.weights = weights
-        self.gain = 4.0 * augment
+        self.gain = 4.0 * LPNN_AUGMENT
         self.unimodular = unimodular
         self.grad = np.empty(n, dtype=dtype)
         self.residual = np.empty(n)
@@ -272,7 +247,6 @@ class _LpnnKernel:
         np.add(r, tmp, out=r)
         np.multiply(scale, self.target, out=tmp)
         np.subtract(r, tmp, out=r)
-        np.multiply(self.weights, r, out=r)
         np.multiply(r, y, out=self._ry)
         np.fft.fft(self._ry, norm="ortho", out=y)
         if self.unimodular:
@@ -309,7 +283,7 @@ def lpnn_increments(state: LpnnState, p: DesignProblem, target_spectrum: np.ndar
     if not unimodular and state.neurons.shape[0] != n:
         raise ValueError(f"neuron vector length {state.neurons.shape[0]} does not match n={n}")
     neurons = _to_complex(state.neurons) if unimodular else state.neurons
-    kernel = _LpnnKernel(target_spectrum, state.weights, state.augment, unimodular)
+    kernel = _LpnnKernel(target_spectrum, unimodular)
     d_scale = kernel(neurons, state.scale, state.multipliers)
     grad = kernel.grad
     d_neurons = -np.concatenate([grad.real, grad.imag]) if unimodular else -grad
@@ -324,11 +298,11 @@ def run_lpnn(
 ) -> BaselineResult:
     """Euler dynamics on the augmented Lagrangian from a seeded random start.
 
-    Every bin carries weight 1 and the modulus penalty weight is
-    LPNN_AUGMENT. Stops when the largest increment falls below 1e-8
-    (converged) or after max_iters steps (not converged); raises
-    DivergenceError if any neuron passes 1e6 in magnitude. The trace
-    records the worst modulus-constraint residual per step.
+    The modulus penalty weight is LPNN_AUGMENT. Stops when the largest
+    increment falls below 1e-8 (converged) or after max_iters steps (not
+    converged); raises DivergenceError if any neuron passes 1e6 in
+    magnitude. The trace records the worst modulus-constraint residual
+    per step.
 
     Each step runs in place through the kernel behind lpnn_increments;
     unimodular neurons are updated through their real view, which is
@@ -346,7 +320,7 @@ def run_lpnn(
         neurons = _to_complex(neurons)
     scale = float(rng.standard_normal())
     multipliers = rng.standard_normal(p.n)
-    kernel = _LpnnKernel(target, np.ones(p.n), LPNN_AUGMENT, unimodular)
+    kernel = _LpnnKernel(target, unimodular)
 
     flat = neurons.view(float)
     grad = kernel.grad.view(float)
@@ -375,8 +349,7 @@ def run_lpnn(
     if variant == "binary":
         seq = np.where(neurons >= 0.0, 1, -1).astype(np.int8)
     else:
-        mag = np.abs(neurons)
-        seq = np.where(mag == 0.0, 1.0 + 0.0j, neurons / np.where(mag == 0.0, 1.0, mag))
+        seq = _phase(neurons)
     return BaselineResult(
         sequence=seq,
         metrics=metric_bundle(p, seq),

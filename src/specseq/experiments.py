@@ -238,7 +238,7 @@ def _map_jobs(fn, args_list, jobs: int):
     if jobs > 1 and len(args_list) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(args_list))) as pool:
             return list(pool.map(fn, args_list))
     return [fn(args) for args in args_list]
 

@@ -6,7 +6,6 @@ from specseq import (
     DesignProblem,
     DivergenceError,
     LpnnState,
-    ShapeState,
     lpnn_increments,
     metric_bundle,
     run_lpnn,
@@ -16,7 +15,14 @@ from specseq import (
     shape_sequence_step,
     shape_spectrum_step,
 )
-from specseq.baselines import _LPNN_STREAM, LPNN_AUGMENT, UNBOUNDED, lpnn_target_spectrum
+from specseq.baselines import (
+    _LPNN_STREAM,
+    _SHAPE_STREAM,
+    LPNN_AUGMENT,
+    SHAPE_TOL,
+    UNBOUNDED,
+    lpnn_target_spectrum,
+)
 
 
 def make_problem(n, message, interferer, alpha=1.0, seed=0):
@@ -29,12 +35,18 @@ def dense_dft(n):
     return np.exp(-2j * np.pi * np.outer(i, i) / n) / np.sqrt(n)
 
 
-def objective_of(state):
-    f = dense_dft(state.sequence.shape[0])
-    return float(np.sum(np.abs(f.conj().T @ state.sequence - state.scale * state.spectrum) ** 2))
+def analysis_of(sequence):
+    """F^H s by the dense DFT."""
+    return dense_dft(sequence.shape[0]).conj().T @ sequence
+
+
+def objective_of(sequence, spectrum, scale):
+    """SHAPE's objective ||F^H s - scale * x||^2 by the dense DFT."""
+    return float(np.sum(np.abs(analysis_of(sequence) - scale * spectrum) ** 2))
 
 
 def random_state(n, seed, binary=False):
+    """A random (sequence, spectrum, scale) iterate."""
     rng = np.random.default_rng(seed)
     if binary:
         seq = rng.integers(0, 2, n) * 2.0 - 1.0
@@ -42,9 +54,15 @@ def random_state(n, seed, binary=False):
         seq = np.exp(2j * np.pi * rng.random(n))
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     scale = complex(rng.standard_normal() + 1j * rng.standard_normal())
-    state = ShapeState(sequence=seq, spectrum=x, scale=scale, objective=0.0)
-    state.objective = objective_of(state)
-    return state
+    return seq, x, scale
+
+
+def shape_start(p, variant):
+    """run_shape's seeded starting sequence."""
+    rng = np.random.default_rng([p.seed, _SHAPE_STREAM])
+    if variant == "binary":
+        return rng.integers(0, 2, size=p.n) * 2.0 - 1.0
+    return np.exp(2j * np.pi * rng.random(p.n))
 
 
 class TestShapeBounds:
@@ -78,80 +96,75 @@ class TestShapeSteps:
         p = make_problem(8, (1,), (3,), alpha=100.0)
         bounds = shape_bounds_from_problem(p)
         bounds.lower[:] = 0.0
-        state = random_state(8, 1)
-        state.scale = 1.0 + 0.0j
-        new = shape_spectrum_step(state, bounds)
-        f = dense_dft(8)
-        z = f.conj().T @ state.sequence
+        seq, _, _ = random_state(8, 1)
+        z = analysis_of(seq)
+        spectrum = shape_spectrum_step(z, 1.0 + 0.0j, bounds)
         free = [i for i in range(8) if i != 1]
-        assert np.allclose(new.spectrum[free], z[free])
+        assert np.allclose(spectrum[free], z[free])
 
     def test_spectrum_step_forced_magnitude(self):
         from specseq.baselines import ShapeBounds
 
         bounds = ShapeBounds(upper=np.full(8, 0.7), lower=np.full(8, 0.7))
-        state = random_state(8, 2)
-        new = shape_spectrum_step(state, bounds)
-        assert np.allclose(np.abs(new.spectrum), 0.7)
+        seq, _, scale = random_state(8, 2)
+        spectrum = shape_spectrum_step(analysis_of(seq), scale, bounds)
+        assert np.allclose(np.abs(spectrum), 0.7)
 
     def test_spectrum_step_decreases_objective(self):
         p = make_problem(8, (1, 2), (4,), alpha=2.0)
         bounds = shape_bounds_from_problem(p)
         for seed in range(5):
-            state = random_state(8, seed)
-            new = shape_spectrum_step(state, bounds)
-            assert new.objective <= state.objective + 1e-9
+            seq, x, scale = random_state(8, seed)
+            spectrum = shape_spectrum_step(analysis_of(seq), scale, bounds)
+            assert objective_of(seq, spectrum, scale) <= objective_of(seq, x, scale) + 1e-9
 
     def test_scale_step_exact_fit(self):
-        state = random_state(8, 3)
-        f = dense_dft(8)
-        state.spectrum = f.conj().T @ state.sequence
-        new = shape_scale_step(state)
-        assert new.scale == pytest.approx(1.0 + 0.0j, abs=1e-12)
-        assert new.objective == pytest.approx(0.0, abs=1e-12)
+        seq, _, _ = random_state(8, 3)
+        spectrum = analysis_of(seq)
+        scale = shape_scale_step(analysis_of(seq), spectrum)
+        assert scale == pytest.approx(1.0 + 0.0j, abs=1e-12)
+        assert objective_of(seq, spectrum, scale) == pytest.approx(0.0, abs=1e-12)
 
     def test_scale_step_homogeneity(self):
-        state = random_state(8, 4)
-        once = shape_scale_step(state)
-        state.spectrum = 2.0 * state.spectrum
-        twice = shape_scale_step(state)
-        assert twice.scale == pytest.approx(once.scale / 2.0, rel=1e-12)
+        seq, x, _ = random_state(8, 4)
+        once = shape_scale_step(analysis_of(seq), x)
+        twice = shape_scale_step(analysis_of(seq), 2.0 * x)
+        assert twice == pytest.approx(once / 2.0, rel=1e-12)
 
     def test_scale_step_stationarity(self):
-        state = random_state(8, 5)
-        new = shape_scale_step(state)
+        seq, x, _ = random_state(8, 5)
+        scale = shape_scale_step(analysis_of(seq), x)
         eps = 1e-7
         for direction in (1.0, 1j):
-            state_plus = ShapeState(state.sequence, state.spectrum, new.scale + eps * direction, 0.0)
-            state_minus = ShapeState(state.sequence, state.spectrum, new.scale - eps * direction, 0.0)
-            derivative = (objective_of(state_plus) - objective_of(state_minus)) / (2 * eps)
+            plus = objective_of(seq, x, scale + eps * direction)
+            minus = objective_of(seq, x, scale - eps * direction)
+            derivative = (plus - minus) / (2 * eps)
             assert abs(derivative) < 1e-5
 
     def test_sequence_step_binary_values(self):
-        state = random_state(8, 6)
-        new = shape_sequence_step(state, "binary")
-        assert set(np.unique(new.sequence.real)) <= {-1.0, 1.0}
+        _, x, scale = random_state(8, 6)
+        seq = shape_sequence_step(x, scale, "binary")
+        assert set(np.unique(seq.real)) <= {-1.0, 1.0}
 
     def test_sequence_step_unimodular_modulus(self):
-        state = random_state(8, 7)
-        new = shape_sequence_step(state, "unimodular")
-        assert np.allclose(np.abs(new.sequence), 1.0)
+        _, x, scale = random_state(8, 7)
+        seq = shape_sequence_step(x, scale, "unimodular")
+        assert np.allclose(np.abs(seq), 1.0)
 
     def test_sequence_step_binary_is_per_coordinate_optimal(self):
-        state = random_state(16, 8, binary=True)
-        new = shape_sequence_step(state, "binary")
-        base = new.objective
+        _, x, scale = random_state(16, 8, binary=True)
+        seq = shape_sequence_step(x, scale, "binary")
+        base = objective_of(seq, x, scale)
         for i in range(16):
-            flipped = new.sequence.copy()
+            flipped = seq.copy()
             flipped[i] = -flipped[i]
-            alt = ShapeState(flipped, state.spectrum, state.scale, 0.0)
-            assert base <= objective_of(alt) + 1e-9
+            assert base <= objective_of(flipped, x, scale) + 1e-9
 
     def test_sequence_step_decreases_objective(self):
         for seed in range(5):
-            state = random_state(8, 20 + seed)
-            new = shape_sequence_step(state, "unimodular")
-            assert new.objective <= state.objective + 1e-9
+            seq, x, scale = random_state(8, 20 + seed)
+            new = shape_sequence_step(x, scale, "unimodular")
+            assert objective_of(new, x, scale) <= objective_of(seq, x, scale) + 1e-9
 
 
 def assert_matches(actual, expected):
@@ -171,9 +184,9 @@ def dense_lpnn_increments(state, p, target_spectrum):
     else:
         c = state.neurons.astype(complex)
     y = f.conj().T @ c
-    r = state.weights * (np.abs(y) ** 2 - state.scale * target_spectrum)
+    r = np.abs(y) ** 2 - state.scale * target_spectrum
     modulus = np.abs(c) ** 2
-    penalty = 4.0 * state.augment * (modulus - 1.0) + 2.0 * state.multipliers
+    penalty = 4.0 * LPNN_AUGMENT * (modulus - 1.0) + 2.0 * state.multipliers
     grad = 4.0 * (f @ (r * y)) + penalty * c
     if state.neurons.shape[0] == 2 * n:
         d_neurons = -np.concatenate([grad.real, grad.imag])
@@ -194,31 +207,43 @@ class TestDenseDefinition:
     def test_shape_steps(self, n, binary):
         bounds = shape_bounds_from_problem(self.problem(n))
         f = dense_dft(n)
-        state = random_state(n, 40 + n, binary=binary)
+        seq, _, scale = random_state(n, 40 + n, binary=binary)
+        analysis = np.fft.ifft(seq, norm="ortho")
+        assert_matches(analysis, f.conj().T @ seq)
 
-        new = shape_spectrum_step(state, bounds)
-        z = (f.conj().T @ state.sequence) / state.scale
+        spectrum = shape_spectrum_step(analysis, scale, bounds)
+        z = (f.conj().T @ seq) / scale
         clipped = np.clip(np.abs(z), bounds.lower, bounds.upper)
-        assert_matches(new.spectrum, z / np.abs(z) * clipped)
-        assert_matches(new.objective, objective_of(new))
+        assert_matches(spectrum, z / np.abs(z) * clipped)
 
-        state = new
-        new = shape_scale_step(state)
+        scale = shape_scale_step(analysis, spectrum)
         assert_matches(
-            new.scale, np.vdot(state.spectrum, f.conj().T @ state.sequence)
-            / np.vdot(state.spectrum, state.spectrum).real
+            scale, np.vdot(spectrum, f.conj().T @ seq) / np.vdot(spectrum, spectrum).real
         )
-        assert_matches(new.objective, objective_of(new))
 
-        state = new
         variant = "binary" if binary else "unimodular"
-        new = shape_sequence_step(state, variant)
-        target = state.scale * (f @ state.spectrum)
+        seq = shape_sequence_step(spectrum, scale, variant)
+        target = scale * (f @ spectrum)
         if binary:
-            assert np.array_equal(new.sequence, np.where(target.real >= 0.0, 1.0, -1.0))
+            assert np.array_equal(seq, np.where(target.real >= 0.0, 1.0, -1.0))
         else:
-            assert_matches(new.sequence, target / np.abs(target))
-        assert_matches(new.objective, objective_of(new))
+            assert_matches(seq, target / np.abs(target))
+
+    @pytest.mark.parametrize("n", [9, 1])
+    @pytest.mark.parametrize("binary", [False, True])
+    def test_shape_trace(self, n, binary):
+        """run_shape's trace holds the dense objective of each cycle's iterate."""
+        p = self.problem(n)
+        variant = "binary" if binary else "unimodular"
+        out = run_shape(p, variant, max_iters=3)
+        bounds = shape_bounds_from_problem(p)
+        seq, scale = shape_start(p, variant), 1.0 + 0.0j
+        for objective in out.trace:
+            spectrum = shape_spectrum_step(np.fft.ifft(seq, norm="ortho"), scale, bounds)
+            scale = shape_scale_step(np.fft.ifft(seq, norm="ortho"), spectrum)
+            seq = shape_sequence_step(spectrum, scale, variant)
+            assert_matches(objective, objective_of(seq, spectrum, scale))
+        assert len(out.trace) >= 1
 
     @pytest.mark.parametrize("n", [9, 1])
     @pytest.mark.parametrize("binary", [False, True])
@@ -230,8 +255,6 @@ class TestDenseDefinition:
             neurons=rng.standard_normal(n if binary else 2 * n),
             scale=float(rng.standard_normal()),
             multipliers=rng.standard_normal(n),
-            weights=np.ones(n),
-            augment=LPNN_AUGMENT,
         )
         got = lpnn_increments(state, p, target)
         for actual, expected in zip(got, dense_lpnn_increments(state, p, target)):
@@ -260,21 +283,18 @@ class TestRunShape:
             assert not run_shape(p, variant, max_iters=1).converged
 
     def test_flat_spectrum_target_decreases(self):
-        from specseq.baselines import ShapeBounds, shape_scale_step, shape_spectrum_step
+        from specseq.baselines import ShapeBounds
 
         rng = np.random.default_rng(13)
         n = 16
         bounds = ShapeBounds(upper=np.ones(n), lower=np.ones(n))
-        state = ShapeState(
-            sequence=np.exp(2j * np.pi * rng.random(n)),
-            spectrum=np.zeros(n), scale=1.0 + 0.0j, objective=np.inf,
-        )
+        seq, scale = np.exp(2j * np.pi * rng.random(n)), 1.0 + 0.0j
         values = []
         for _ in range(30):
-            state = shape_spectrum_step(state, bounds)
-            state = shape_scale_step(state)
-            state = shape_sequence_step(state, "unimodular")
-            values.append(state.objective)
+            spectrum = shape_spectrum_step(analysis_of(seq), scale, bounds)
+            scale = shape_scale_step(analysis_of(seq), spectrum)
+            seq = shape_sequence_step(spectrum, scale, "unimodular")
+            values.append(objective_of(seq, spectrum, scale))
         assert values[-1] <= values[0]
 
     def test_deterministic(self):
@@ -310,8 +330,6 @@ class TestLpnnIncrements:
             neurons=rng.standard_normal(variant_dim),
             scale=float(rng.standard_normal()),
             multipliers=rng.standard_normal(8),
-            weights=np.ones(8),
-            augment=10.0,
         )
         d_neurons, d_scale, residual = lpnn_increments(state, p, target)
         eps = 1e-6
@@ -335,10 +353,12 @@ class TestLpnnIncrements:
     def test_stationary_point_gives_zero_increments(self):
         p = make_problem(8, (1,), (3,), alpha=2.0)
         target = lpnn_target_spectrum(p, shape_bounds_from_problem(p))
-        seq = np.ones(8)
+        # c = 1 puts all power n in bin 0 and meets every modulus constraint;
+        # this scale zeroes the scale gradient and these multipliers the neuron gradient
+        scale = p.n * target[0] / float(np.sum(target**2))
         state = LpnnState(
-            neurons=seq, scale=0.0, multipliers=np.zeros(8),
-            weights=np.zeros(8), augment=10.0,
+            neurons=np.ones(8), scale=scale,
+            multipliers=np.full(8, -2.0 * (p.n - scale * target[0])),
         )
         d_neurons, d_scale, residual = lpnn_increments(state, p, target)
         assert np.abs(d_neurons).max() <= 1e-8
@@ -389,18 +409,18 @@ def plain_lpnn_increments(state, p, target_spectrum):
     if state.neurons.shape[0] == 2 * n:
         c = state.neurons[:n] + 1j * state.neurons[n:]
         y = np.fft.ifft(c, norm="ortho")
-        r = state.weights * (y.real**2 + y.imag**2 - state.scale * target_spectrum)
+        r = y.real**2 + y.imag**2 - state.scale * target_spectrum
         grad_c = 4.0 * np.fft.fft(r * y, norm="ortho")
         modulus = c.real**2 + c.imag**2
-        grad_c += (4.0 * state.augment * (modulus - 1.0) + 2.0 * state.multipliers) * c
+        grad_c += (4.0 * LPNN_AUGMENT * (modulus - 1.0) + 2.0 * state.multipliers) * c
         d_neurons = -np.concatenate([grad_c.real, grad_c.imag])
     else:
         s = state.neurons
         y = np.fft.ifft(s, norm="ortho")
-        r = state.weights * (y.real**2 + y.imag**2 - state.scale * target_spectrum)
+        r = y.real**2 + y.imag**2 - state.scale * target_spectrum
         grad = 4.0 * np.fft.fft(r * y, norm="ortho").real
         modulus = s**2
-        grad += (4.0 * state.augment * (modulus - 1.0) + 2.0 * state.multipliers) * s
+        grad += (4.0 * LPNN_AUGMENT * (modulus - 1.0) + 2.0 * state.multipliers) * s
         d_neurons = -grad
     return d_neurons, 2.0 * float(np.sum(r * target_spectrum)), modulus - 1.0
 
@@ -417,8 +437,6 @@ def replay_lpnn(p, variant, max_iters, step=1e-3):
         neurons=rng.standard_normal(p.n if variant == "binary" else 2 * p.n),
         scale=float(rng.standard_normal()),
         multipliers=rng.standard_normal(p.n),
-        weights=np.ones(p.n),
-        augment=LPNN_AUGMENT,
     )
     trace = []
     converged = False
@@ -479,3 +497,85 @@ class TestLpnnExactness:
         run_lpnn(p, variant, max_iters=diverged_at - 1, step=10.0)
         with pytest.raises(DivergenceError):
             run_lpnn(p, variant, max_iters=diverged_at, step=10.0)
+
+
+def replay_shape(p, variant, max_iters):
+    """run_shape as the plain loop whose every step transforms the sequence.
+
+    Each step computes F^H s afresh with np.fft.ifft, so a cycle makes
+    4 FFTs. Returns (sequence, trace, iterations, converged).
+    """
+    bounds = shape_bounds_from_problem(p)
+    seq = shape_start(p, variant)
+    scale = 1.0 + 0.0j
+    objective = np.inf
+    trace = []
+    converged = False
+    for iterations in range(1, max_iters + 1):
+        previous = objective
+        # spectrum step
+        z = np.fft.ifft(seq, norm="ortho") / scale
+        mag = np.abs(z)
+        phase = np.where(mag == 0.0, 1.0 + 0.0j, z / np.where(mag == 0.0, 1.0, mag))
+        x = phase * np.clip(mag, bounds.lower, bounds.upper)
+        # scale step
+        norm_sq = float(np.sum(x.real**2 + x.imag**2))
+        scale = complex(np.vdot(x, np.fft.ifft(seq, norm="ortho")) / norm_sq)
+        if scale == 0:
+            converged = True
+            break
+        # sequence step
+        target = scale * np.fft.fft(x, norm="ortho")
+        if variant == "binary":
+            seq = np.where(target.real >= 0.0, 1.0, -1.0)
+        else:
+            mag = np.abs(target)
+            seq = np.where(mag == 0.0, 1.0 + 0.0j, target / np.where(mag == 0.0, 1.0, mag))
+        resid = np.fft.ifft(seq, norm="ortho") - scale * x
+        objective = float(np.sum(resid.real**2 + resid.imag**2))
+        trace.append(objective)
+        if np.isfinite(previous) and abs(previous - objective) <= SHAPE_TOL * max(1.0, previous):
+            converged = True
+            break
+    if variant == "binary":
+        seq = seq.real.astype(np.int8)
+    return seq, np.asarray(trace), iterations, converged
+
+
+#: the baseline layouts of the benchmark's compare workload
+COMPARE_LAYOUTS = {
+    "baseline-64-w1": (tuple(range(43, 53)), (31,)),
+    "baseline-64-w4": (tuple(range(39, 49)), tuple(range(1, 5))),
+    "baseline-64-w10": (tuple(range(22, 32)), tuple(range(51, 61))),
+}
+
+
+class TestShapeExactness:
+    """run_shape, sharing one F^H s per cycle, is bitwise the plain 4-FFT loop."""
+
+    @pytest.mark.parametrize(
+        "p, max_iters",
+        [
+            *(
+                pytest.param(make_problem(64, m, i, alpha=5.0, seed=seed), 10000,
+                             id=f"{name}-seed{seed}")
+                for name, (m, i) in COMPARE_LAYOUTS.items()
+                for seed in range(3)
+            ),
+            # odd n, interferer band asymmetric about DC
+            pytest.param(make_problem(9, (1, 2), (4, 6), alpha=1.0, seed=3), 10000, id="n9"),
+            pytest.param(make_problem(1, (0,), (), alpha=1.0, seed=2), 10000, id="n1"),
+            # a budget cut before the stop rule fires
+            pytest.param(make_problem(64, *COMPARE_LAYOUTS["baseline-64-w1"], alpha=5.0), 5,
+                         id="baseline-64-w1-cut5"),
+        ],
+    )
+    @pytest.mark.parametrize("variant", ["binary", "unimodular"])
+    def test_matches_plain_loop(self, p, max_iters, variant):
+        out = run_shape(p, variant, max_iters=max_iters)
+        seq, trace, iterations, converged = replay_shape(p, variant, max_iters)
+        assert out.trace.tobytes() == trace.tobytes()
+        assert out.iterations == iterations and out.converged == converged
+        assert converged == (max_iters > 5)
+        assert out.sequence.dtype == seq.dtype and out.sequence.tobytes() == seq.tobytes()
+        assert out.metrics == metric_bundle(p, seq)

@@ -260,3 +260,30 @@ class TestWorkerParallelism:
         # the process pool only starts for at least two jobs
         assert len(cfg.sweep) >= 2
         assert ex.run_experiment(cfg, jobs=2).rows == ex.run_experiment(cfg, jobs=1).rows
+
+    def test_pool_has_no_more_workers_than_jobs(self, monkeypatch):
+        import concurrent.futures
+
+        asked = []
+
+        class SerialPool:
+            """Records the worker count it is asked for and maps in this process."""
+
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, args):
+                return map(fn, args)
+
+        cfg = ex.default_config(ex.ExperimentKind.BETA_DISTRIBUTION, seed=5)
+        cfg = replace(cfg, sweep=((16, 2, 2), (32, 4, 4)), repetitions=60)
+        serial = ex.run_experiment(cfg, jobs=1).rows
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        assert ex.run_experiment(cfg, jobs=8).rows == serial
+        assert asked == [2]
