@@ -12,6 +12,7 @@ Both work with the unitary DFT F[i, k] = exp(-2j*pi*i*k/n)/sqrt(n), whose
 products are FFTs: F^H s is ``np.fft.ifft(s, norm="ortho")`` and F x is
 ``np.fft.fft(x, norm="ortho")``. SHAPE's block steps act on arrays, and the
 analysis F^H s of each new sequence is computed once: 2 FFTs per cycle.
+LPNN calls the pocketfft gufuncs behind those two functions directly.
 """
 
 from __future__ import annotations
@@ -34,6 +35,9 @@ SHAPE_TOL = 1e-10
 
 _SHAPE_STREAM = 101
 _LPNN_STREAM = 202
+
+#: LPNN steps run between checks; a block the checks may fire in is replayed step by step
+_LPNN_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -220,14 +224,26 @@ class _LpnnKernel:
     (4 * LPNN_AUGMENT * (|c|^2 - 1) + 2 * multipliers) * c`` (the real part
     of its first term for binary neurons), so the results are bitwise those
     of evaluating it with temporaries.
+
+    The transforms call numpy's private ``numpy.fft._pocketfft_umath``
+    gufuncs with the factor 1/sqrt(n) that ``np.fft`` computes for
+    ``norm="ortho"``, which skips the wrappers' argument handling per call.
+    ``TestLpnnExactness`` replays every step through plain ``np.fft`` calls,
+    so it fails if a numpy release changes that module or that factor.
     """
 
     def __init__(self, target: np.ndarray, unimodular: bool):
+        # numpy.fft loads on first use; importing it here keeps `import specseq` from loading it
+        from numpy.fft import _pocketfft_umath
+
         n = target.shape[0]
         dtype = complex if unimodular else float
         self.target = target
         self.gain = 4.0 * LPNN_AUGMENT
         self.unimodular = unimodular
+        self._ifft = _pocketfft_umath.ifft
+        self._fft = _pocketfft_umath.fft
+        self._fct = np.reciprocal(np.sqrt(n, dtype=np.float64))
         self.grad = np.empty(n, dtype=dtype)
         self.residual = np.empty(n)
         self._y = np.empty(n, dtype=complex)
@@ -241,14 +257,14 @@ class _LpnnKernel:
         y, r, tmp, penalty, residual, grad = (
             self._y, self._r, self._tmp, self._penalty, self.residual, self.grad,
         )
-        np.fft.ifft(neurons, norm="ortho", out=y)
+        self._ifft(neurons, self._fct, out=y)
         np.square(y.real, out=r)
         np.square(y.imag, out=tmp)
         np.add(r, tmp, out=r)
         np.multiply(scale, self.target, out=tmp)
         np.subtract(r, tmp, out=r)
         np.multiply(r, y, out=self._ry)
-        np.fft.fft(self._ry, norm="ortho", out=y)
+        self._fft(self._ry, self._fct, out=y)
         if self.unimodular:
             np.multiply(4.0, y, out=grad)
             np.square(neurons.real, out=residual)
@@ -306,7 +322,13 @@ def run_lpnn(
 
     Each step runs in place through the kernel behind lpnn_increments;
     unimodular neurons are updated through their real view, which is
-    the real-stacked update component by component.
+    the real-stacked update component by component. Steps run in blocks
+    of _LPNN_BLOCK with the checks made once per block: a block whose
+    every residual row reaches 1e-8 and whose every neuron stays within
+    1e6 can neither stop nor diverge, and its row maxima are the trace.
+    Any other block is rerun from its start with the per-step checks, so
+    the stop rule and DivergenceError fire at the same step as in a
+    plain step-by-step loop.
     """
     validate_problem(p)
     if variant not in ("binary", "unimodular"):
@@ -324,27 +346,59 @@ def run_lpnn(
 
     flat = neurons.view(float)
     grad = kernel.grad.view(float)
+    residual = kernel.residual
     move = np.empty_like(flat)
     drift = np.empty(p.n)
-    trace = np.empty(max(max_iters, 0))
-    iterations = 0
-    converged = False
-    for iterations in range(1, max_iters + 1):
+
+    def euler_step() -> float:
+        """Advance neurons, scale and multipliers by one step; return d_scale."""
+        nonlocal scale
         d_scale = kernel(neurons, scale, multipliers)
-        residual = kernel.residual
         np.multiply(grad, -step, out=move)  # bit for bit step * -grad
         np.add(flat, move, out=flat)
         scale = scale + step * d_scale
         np.multiply(step, residual, out=drift)
         np.add(multipliers, drift, out=multipliers)
-        worst_residual = _max_abs(residual)
-        trace[iterations - 1] = worst_residual
-        if _max_abs(flat) > 1e6:
-            raise DivergenceError("neuron magnitude exceeded 1e6; reduce the step size")
-        # the stop needs all three terms below 1e-8, so the gradient is read only then
-        if worst_residual < 1e-8 and max(_max_abs(grad), abs(d_scale), worst_residual) < 1e-8:
-            converged = True
-            break
+        return d_scale
+
+    residual_rows = np.empty((_LPNN_BLOCK, p.n))
+    neuron_rows = np.empty((_LPNN_BLOCK, flat.shape[0]))
+    saved_neurons = np.empty_like(flat)
+    saved_multipliers = np.empty_like(multipliers)
+    trace = np.empty(max(max_iters, 0))
+    iterations = 0
+    converged = False
+    while iterations < max_iters and not converged:
+        steps = min(_LPNN_BLOCK, max_iters - iterations)
+        np.copyto(saved_neurons, flat)
+        np.copyto(saved_multipliers, multipliers)
+        saved_scale = scale
+        # a block that overflows is rerun below, so its warnings would be spurious
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(steps):
+                euler_step()
+                residual_rows[j] = residual
+                neuron_rows[j] = flat
+        worst = np.abs(residual_rows[:steps]).max(axis=1)
+        # NaN fails both comparisons, so a block with a NaN is rerun too
+        if np.all(worst >= 1e-8) and np.all(np.abs(neuron_rows[:steps]) <= 1e6):
+            trace[iterations:iterations + steps] = worst
+            iterations += steps
+            continue
+        np.copyto(flat, saved_neurons)
+        np.copyto(multipliers, saved_multipliers)
+        scale = saved_scale
+        for _ in range(steps):
+            iterations += 1
+            d_scale = euler_step()
+            worst_residual = _max_abs(residual)
+            trace[iterations - 1] = worst_residual
+            if _max_abs(flat) > 1e6:
+                raise DivergenceError("neuron magnitude exceeded 1e6; reduce the step size")
+            # the stop needs all three terms below 1e-8, so the gradient is read only then
+            if worst_residual < 1e-8 and max(_max_abs(grad), abs(d_scale), worst_residual) < 1e-8:
+                converged = True
+                break
 
     if variant == "binary":
         seq = np.where(neurons >= 0.0, 1, -1).astype(np.int8)

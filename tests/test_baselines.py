@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from specseq import (
     shape_spectrum_step,
 )
 from specseq.baselines import (
+    _LPNN_BLOCK,
     _LPNN_STREAM,
     _SHAPE_STREAM,
     LPNN_AUGMENT,
@@ -396,6 +399,15 @@ class TestRunLpnn:
         with pytest.raises(DivergenceError):
             run_lpnn(p, "binary", max_iters=2000, step=10.0)
 
+    @pytest.mark.parametrize("variant", ["binary", "unimodular"])
+    def test_divergence_raises_without_warnings(self, variant):
+        # the steps that overflow before the check fires must not leak RuntimeWarnings
+        p = make_problem(16, (2, 3), (6, 7), alpha=2.0, seed=17)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DivergenceError):
+                run_lpnn(p, variant, max_iters=2000, step=10.0)
+
     def test_deterministic(self):
         p = make_problem(12, (1, 2), (5,), alpha=2.0, seed=18)
         a = run_lpnn(p, "binary", max_iters=200)
@@ -439,6 +451,7 @@ def replay_lpnn(p, variant, max_iters, step=1e-3):
         multipliers=rng.standard_normal(p.n),
     )
     trace = []
+    iterations = 0
     converged = False
     for iterations in range(1, max_iters + 1):
         d_neurons, d_scale, residual = lpnn_increments(state, p, target)
@@ -486,8 +499,27 @@ class TestLpnnExactness:
         assert out.trace.tobytes() == trace.tobytes()
         assert out.iterations == iterations and out.converged == converged
         assert converged == (p.n == 1)
+        if converged:
+            # the stop fires inside a block, so the block's step-by-step rerun stops it
+            assert iterations % _LPNN_BLOCK != 0
         assert out.sequence.dtype == seq.dtype and out.sequence.tobytes() == seq.tobytes()
         assert out.metrics == metric_bundle(p, seq)
+
+    @pytest.mark.parametrize(
+        "max_iters", [0, 1, _LPNN_BLOCK - 1, _LPNN_BLOCK, _LPNN_BLOCK + 1, 2 * _LPNN_BLOCK + 3]
+    )
+    @pytest.mark.parametrize("variant", ["binary", "unimodular"])
+    def test_block_edges(self, max_iters, variant):
+        """Budgets on and beside the block length cut the run where the plain loop does."""
+        p = make_problem(9, (1, 2), (4, 6), alpha=1.0, seed=3)
+        out = run_lpnn(p, variant, max_iters=max_iters)
+        seq, trace, iterations, converged = replay_lpnn(p, variant, max_iters)
+        assert out.trace.tobytes() == trace.tobytes()
+        assert out.iterations == iterations == max_iters
+        assert not out.converged and not converged
+        assert out.sequence.dtype == seq.dtype and out.sequence.tobytes() == seq.tobytes()
+        if max_iters == 0:
+            assert out.iterations == 0 and out.trace.shape == (0,) and not out.converged
 
     @pytest.mark.parametrize("variant", ["binary", "unimodular"])
     def test_divergence_at_the_same_step(self, variant):
