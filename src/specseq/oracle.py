@@ -9,7 +9,7 @@ block the first maximum wins and across blocks only a strictly larger
 score replaces the best, so of scores that are equal as floats the
 lexicographically smaller sequence wins. Scores that are equal in exact
 arithmetic but apart by roundoff go to the larger float, whichever
-sequence that is; ROADMAP direction 5 owns the exact tie rule. Each
+sequence that is; ROADMAP direction 8 owns the exact tie rule. Each
 optimum is reported with the metrics of the block row that selected it.
 """
 

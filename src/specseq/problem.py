@@ -267,12 +267,15 @@ def band_metrics(p: DesignProblem, signs) -> BandMetrics:
         y = (np.vstack([rows, rows]) if len(rows) == 1 else rows) @ basis
         re, im = y[: len(rows), :n_bins], y[: len(rows), n_bins:]
     sq = re**2 + im**2
-    mags = np.sqrt(sq)
-    mag_m, mag_i = mags[:, :n_m], mags[:, n_m:]
+    # band extremes reduce over a bins-major copy, whose rows are long and
+    # contiguous, and take the root after: a correctly rounded sqrt is
+    # monotone, so this equals the extreme of the roots bit for bit. The
+    # power sums stay on sq, since a bins-major sum adds in another order
+    by_bin = np.ascontiguousarray(sq.T)
     tol = null_tolerance(p.n)
-    min_m = mag_m.min(axis=1)
-    max_m = mag_m.max(axis=1)
-    max_i = mag_i.max(axis=1, initial=0.0)
+    min_m = np.sqrt(np.minimum.reduce(by_bin[:n_m], axis=0))
+    max_m = np.sqrt(np.maximum.reduce(by_bin[:n_m], axis=0))
+    max_i = np.sqrt(np.maximum.reduce(by_bin[n_m:], axis=0, initial=0.0))
     null_i = max_i <= tol
     null_m = max_m <= tol
     rho = np.where(

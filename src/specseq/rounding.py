@@ -145,7 +145,9 @@ def run_design(
     for start in range(0, p.trials, _CHUNK):
         count = min(_CHUNK, p.trials - start)
         v = _trial_normals(rng, start, count, factor_t.shape[0])
-        signs = np.where(v @ factor_t >= 0.0, 1.0, -1.0)
+        # exactly +-1, with -0.0 to +1 and NaN to -1 as sample_candidate
+        # maps them, and several times faster than np.where on the mask
+        signs = (v @ factor_t >= 0.0) * 2.0 - 1.0
         scored = band_metrics(p, signs)
         feasible = scored.feasible
         n_feasible += int(feasible.sum())

@@ -1,10 +1,12 @@
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from specseq import (
+    BandMetrics,
     BandSpec,
     DesignProblem,
     EmptyMessageError,
@@ -22,6 +24,7 @@ from specseq import (
     sequence_line,
     validate_problem,
 )
+from specseq.problem import null_tolerance
 
 
 def make_problem(n, message, interferer, alpha=1.0, trials=10, seed=0):
@@ -350,3 +353,93 @@ class TestBandMetrics:
             band_metrics(make_problem(8, (), (2,)), np.ones((1, 8)))
         with pytest.raises(EmptyMessageError):
             message_power(make_problem(8, (), (2,)), np.ones(8))
+
+
+def plain_band_metrics(p, signs):
+    """band_metrics by its plain expression: roots of every bin, row-wise extremes."""
+    rows = np.asarray(signs)
+    n_m = len(p.message)
+    conj = build_partial_dft(p.n, p.message.indices + p.interferer.indices).conj()
+    n_bins = conj.shape[1]
+    basis = np.hstack([conj.real, conj.imag])
+    if np.iscomplexobj(rows):
+        y = np.vstack([rows.real, rows.imag]) @ basis
+        y_re, y_im = y[: len(rows)], y[len(rows) :]
+        re = y_re[:, :n_bins] - y_im[:, n_bins:]
+        im = y_re[:, n_bins:] + y_im[:, :n_bins]
+    else:
+        y = (np.vstack([rows, rows]) if len(rows) == 1 else rows) @ basis
+        re, im = y[: len(rows), :n_bins], y[: len(rows), n_bins:]
+    sq = re**2 + im**2
+    mags = np.sqrt(sq)
+    mag_m, mag_i = mags[:, :n_m], mags[:, n_m:]
+    tol = null_tolerance(p.n)
+    min_m = mag_m.min(axis=1)
+    max_m = mag_m.max(axis=1)
+    max_i = mag_i.max(axis=1, initial=0.0)
+    null_i = max_i <= tol
+    null_m = max_m <= tol
+    rho = np.where(
+        null_i, np.where(min_m > tol, np.inf, 0.0), min_m / np.where(null_i, 1.0, max_i)
+    )
+    g = sq[:, n_m:].sum(axis=1)
+    return BandMetrics(
+        message_power=sq[:, :n_m].sum(axis=1),
+        interferer_power=g,
+        rejection_ratio=rho,
+        reciprocal_dynamic_range=np.where(null_m, 0.0, min_m / np.where(null_m, 1.0, max_m)),
+        feasible=g <= p.alpha + 1e-9 * max(1.0, p.alpha),
+    )
+
+
+def assert_bitwise(actual, expected):
+    """Equal dtype, shape and bytes, so -0.0 and NaN payloads count too."""
+    a, b = np.asarray(actual), np.asarray(expected)
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+class TestBandMetricsExactness:
+    # bands wider than 8 bins: there a sum in another order changes bits
+    @pytest.mark.parametrize(
+        "n, message, interferer",
+        [
+            (16, (2, 3), (6, 7)),
+            (16, tuple(range(1, 7)), tuple(range(8, 16))),
+            (64, (12, 13, 14, 20, 21, 22), (5, 6, 7, 25, 26, 27)),  # the README problem
+            (64, tuple(range(10, 28)), tuple(range(30, 60))),
+            (256, tuple(range(20, 68)), tuple(range(100, 140))),
+            (64, tuple(range(3, 40)), ()),
+        ],
+    )
+    def test_blocks_match_plain_kernel(self, n, message, interferer):
+        p = make_problem(n, message, interferer, alpha=float(len(interferer)))
+        rng = np.random.default_rng(n + len(message))
+        alternating = np.resize([1.0, -1.0], n)
+        signs = np.vstack([np.ones(n), alternating, rng.integers(0, 2, (300, n)) * 2.0 - 1.0])
+        unimodular = np.exp(2j * np.pi * rng.random((40, n)))
+        for block in (signs, unimodular, signs[2:3], unimodular[:1]):
+            actual, expected = band_metrics(p, block), plain_band_metrics(p, block)
+            for f in fields(BandMetrics):
+                assert_bitwise(getattr(actual, f.name), getattr(expected, f.name))
+
+    @pytest.mark.parametrize(
+        "n, message, interferer",
+        [
+            (16, (2, 3), (6, 7)),  # the all-ones row nulls both bands (0/0)
+            (16, (8,), (1, 2, 3)),  # the alternating row is a perfect notch
+            (16, tuple(range(1, 12)), ()),  # empty interferer band
+            (64, tuple(range(10, 28)), tuple(range(30, 60))),
+            (256, tuple(range(20, 68)), tuple(range(100, 140))),
+        ],
+    )
+    def test_single_rows_match_plain_kernel(self, n, message, interferer):
+        p = make_problem(n, message, interferer, alpha=2.0)
+        rng = np.random.default_rng(n)
+        rows = [np.ones(n), np.resize([1.0, -1.0], n), rng.integers(0, 2, n) * 2.0 - 1.0,
+                np.exp(2j * np.pi * rng.random(n))]
+        for s in rows:
+            actual = metric_bundle(p, s)
+            expected = plain_band_metrics(p, np.vstack([s])).row(0)
+            for f in fields(MetricBundle):
+                assert_bitwise(getattr(actual, f.name), getattr(expected, f.name))

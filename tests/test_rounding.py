@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from specseq import (
+    BandMetrics,
     BandSpec,
     DegenerateObjectiveError,
     DesignProblem,
@@ -25,6 +26,7 @@ from specseq import (
 )
 from specseq import rounding
 from specseq.sdp import RANK_TOL, SdpSolution
+from test_problem import assert_bitwise, plain_band_metrics
 
 
 def make_problem(n, message, interferer, alpha=1.0, trials=100, seed=0):
@@ -176,6 +178,41 @@ class TestRunDesign:
         for i in range(len(seeds)):
             for j in range(i):
                 assert not np.array_equal(tables[i], tables[j]), (seeds[i], seeds[j])
+
+    @pytest.mark.parametrize("n, message, interferer, alpha", [
+        (64, README_MESSAGE, README_INTERFERER, 2.0),
+        (16, (2, 3), (6, 7), 1.0),
+    ])
+    def test_matches_plain_replay_bitwise(self, monkeypatch, n, message, interferer, alpha):
+        # Philox normals over the live columns, np.where signs and the plain
+        # kernel, chunk by chunk; the last chunk holds a lone row
+        monkeypatch.setattr(rounding, "_CHUNK", 512)
+        p = make_problem(n, message, interferer, alpha=alpha, trials=3 * 512 + 1, seed=4242)
+        sol = solve_relaxation(p)
+        factor_t = np.ascontiguousarray(sol.factor[:, np.any(sol.factor != 0.0, axis=0)].T)
+        rng = np.random.Generator(np.random.Philox(key=p.seed))
+        signs, chunks = [], []
+        for start in range(0, p.trials, 512):
+            v = rng.standard_normal((min(512, p.trials - start), factor_t.shape[0]))
+            signs.append(np.where(v @ factor_t >= 0.0, 1.0, -1.0))
+            chunks.append(plain_band_metrics(p, signs[-1]))
+        signs = np.concatenate(signs)
+        plain = {
+            f.name: np.concatenate([getattr(c, f.name) for c in chunks])
+            for f in fields(BandMetrics)
+        }
+        assert 0 < plain["feasible"].sum() < p.trials
+        for score in ScoreKind:
+            res = run_design(p, sol, score=score, retain=True)
+            for name, column in plain.items():
+                assert_bitwise(getattr(res.trial_table, name), column)
+            assert_bitwise(res.trial_table.gamma, plain["message_power"] / sol.objective)
+            assert res.n_feasible == int(plain["feasible"].sum())
+            i, _ = BandMetrics(**plain).best_feasible(score)
+            assert res.best.trial_index == i
+            for name, column in plain.items():
+                assert_bitwise(getattr(res.best.metrics, name), column[i])
+            assert_bitwise(res.best.sequence, signs[i].astype(np.int8))
 
     def test_chunk_size_does_not_change_results(self, monkeypatch):
         p = make_problem(64, README_MESSAGE, README_INTERFERER, alpha=5.0, trials=300, seed=8)
