@@ -3,9 +3,7 @@
 from ._version import __version__
 from .baselines import (
     BaselineResult,
-    LpnnState,
     ShapeBounds,
-    lpnn_increments,
     run_lpnn,
     run_shape,
     shape_bounds_from_problem,
@@ -14,7 +12,6 @@ from .baselines import (
     shape_spectrum_step,
 )
 from .errors import (
-    DegenerateObjectiveError,
     DivergenceError,
     EmptyInterfererError,
     EmptyMessageError,
@@ -44,23 +41,17 @@ from .problem import (
     ScoreKind,
     band_metrics,
     build_partial_dft,
-    interferer_power,
-    message_power,
     metric_bundle,
-    rejection_ratio,
-    reciprocal_dynamic_range,
     sequence_line,
     validate_problem,
 )
 from .rounding import (
     Candidate,
     DesignResult,
-    approximation_ratio,
     arcsin_trace_ratio,
     mcdiarmid_bound,
     quantized_principal_eigenvector,
     run_design,
-    sample_candidate,
 )
 from .sdp import SdpSolution, solve_relaxation
 
@@ -68,27 +59,25 @@ from .sdp import SdpSolution, solve_relaxation
 __all__ = [
     "__version__",
     # SHAPE and LPNN baselines
-    "BaselineResult", "LpnnState", "ShapeBounds", "lpnn_increments",
-    "run_lpnn", "run_shape", "shape_bounds_from_problem", "shape_scale_step",
-    "shape_sequence_step", "shape_spectrum_step",
+    "BaselineResult", "ShapeBounds", "run_lpnn", "run_shape",
+    "shape_bounds_from_problem", "shape_scale_step", "shape_sequence_step",
+    "shape_spectrum_step",
     # errors
-    "DegenerateObjectiveError", "DivergenceError", "EmptyInterfererError",
-    "EmptyMessageError", "InfeasibleRelaxationError", "LengthMismatchError",
-    "NoFeasibleError", "OverlapError", "RankZeroError",
-    "SizeLimitError", "SpecseqError", "ZeroScaleError", "ZeroSpectrumError",
+    "DivergenceError", "EmptyInterfererError", "EmptyMessageError",
+    "InfeasibleRelaxationError", "LengthMismatchError", "NoFeasibleError",
+    "OverlapError", "RankZeroError", "SizeLimitError", "SpecseqError",
+    "ZeroScaleError", "ZeroSpectrumError",
     # experiment harnesses
     "ExperimentConfig", "ExperimentKind", "ExperimentReport", "default_config",
     "run_experiment",
     # exhaustive oracle
     "OracleResult", "exhaustive_search", "halved_constraint_optimum",
-    # problems, the metric kernel and the scalar metrics
+    # problems and the metric kernel
     "BandMetrics", "BandSpec", "DesignProblem", "MetricBundle", "ScoreKind",
-    "band_metrics", "build_partial_dft", "interferer_power", "message_power", "metric_bundle",
-    "rejection_ratio", "reciprocal_dynamic_range", "sequence_line", "validate_problem",
+    "band_metrics", "build_partial_dft", "metric_bundle", "sequence_line", "validate_problem",
     # randomized rounding and theory quantities
-    "Candidate", "DesignResult", "approximation_ratio", "arcsin_trace_ratio",
-    "mcdiarmid_bound", "quantized_principal_eigenvector", "run_design",
-    "sample_candidate",
+    "Candidate", "DesignResult", "arcsin_trace_ratio", "mcdiarmid_bound",
+    "quantized_principal_eigenvector", "run_design",
     # the relaxation
     "SdpSolution", "solve_relaxation",
 ]

@@ -52,15 +52,6 @@ class ShapeBounds:
             raise ValueError("lower bounds exceed upper bounds")
 
 
-@dataclass
-class LpnnState:
-    """Neurons (real-stacked for the unimodular variant), scale, multipliers."""
-
-    neurons: np.ndarray
-    scale: float
-    multipliers: np.ndarray
-
-
 @dataclass(frozen=True)
 class BaselineResult:
     sequence: np.ndarray
@@ -216,10 +207,12 @@ class _LpnnKernel:
     """LPNN's increments for one problem, evaluated in buffers made once.
 
     Neurons are a real n-vector (binary variant) or a complex n-vector
-    (unimodular). A call leaves the Lagrangian gradient in ``grad`` (the
-    neuron increment is its negative) and the modulus residuals in
-    ``residual``, and returns the scale increment. Every ufunc writes
-    through ``out=`` but takes its operands in the order of the plain
+    (unimodular): the real-stacked neurons t = [Re s; Im s] of the
+    unimodular formulation, whose rank-two real blocks reduce to complex
+    products with the DFT basis. A call leaves the Lagrangian gradient in
+    ``grad`` (the neuron increment is its negative) and the modulus
+    residuals in ``residual``, and returns the scale increment. Every ufunc
+    writes through ``out=`` but takes its operands in the order of the plain
     expression ``4.0 * F ((|F^H c|^2 - scale * target) * F^H c) +
     (4 * LPNN_AUGMENT * (|c|^2 - 1) + 2 * multipliers) * c`` (the real part
     of its first term for binary neurons), so the results are bitwise those
@@ -287,25 +280,6 @@ def _max_abs(x: np.ndarray) -> float:
     return max(x.max(), -x.min())
 
 
-def lpnn_increments(state: LpnnState, p: DesignProblem, target_spectrum: np.ndarray):
-    """Negative Lagrangian gradients for neurons and scale, constraint residuals for multipliers.
-
-    The unimodular variant works on real-stacked neurons t = [Re s; Im s];
-    the rank-two real blocks of the stacked formulation reduce to complex
-    products with the DFT basis, which is what is computed here.
-    """
-    n = p.n
-    unimodular = state.neurons.shape[0] == 2 * n
-    if not unimodular and state.neurons.shape[0] != n:
-        raise ValueError(f"neuron vector length {state.neurons.shape[0]} does not match n={n}")
-    neurons = _to_complex(state.neurons) if unimodular else state.neurons
-    kernel = _LpnnKernel(target_spectrum, unimodular)
-    d_scale = kernel(neurons, state.scale, state.multipliers)
-    grad = kernel.grad
-    d_neurons = -np.concatenate([grad.real, grad.imag]) if unimodular else -grad
-    return d_neurons, d_scale, kernel.residual
-
-
 def run_lpnn(
     p: DesignProblem,
     variant: str = "binary",
@@ -320,15 +294,14 @@ def run_lpnn(
     magnitude. The trace records the worst modulus-constraint residual
     per step.
 
-    Each step runs in place through the kernel behind lpnn_increments;
-    unimodular neurons are updated through their real view, which is
-    the real-stacked update component by component. Steps run in blocks
-    of _LPNN_BLOCK with the checks made once per block: a block whose
-    every residual row reaches 1e-8 and whose every neuron stays within
-    1e6 can neither stop nor diverge, and its row maxima are the trace.
-    Any other block is rerun from its start with the per-step checks, so
-    the stop rule and DivergenceError fire at the same step as in a
-    plain step-by-step loop.
+    Each step runs in place through _LpnnKernel; unimodular neurons are
+    updated through their real view, which is the real-stacked update
+    component by component. Steps run in blocks of _LPNN_BLOCK with the
+    checks made once per block: a block whose every residual row reaches
+    1e-8 and whose every neuron stays within 1e6 can neither stop nor
+    diverge, and its row maxima are the trace. Any other block is rerun from
+    its start with the per-step checks, so the stop rule and DivergenceError
+    fire at the same step as in a plain step-by-step loop.
     """
     validate_problem(p)
     if variant not in ("binary", "unimodular"):

@@ -29,10 +29,6 @@ class RankZeroError(SpecseqError):
     """A relaxation solution has no positive eigenvalue to quantize."""
 
 
-class DegenerateObjectiveError(SpecseqError):
-    """The relaxation objective is too close to zero to normalize by."""
-
-
 class ZeroScaleError(SpecseqError):
     """The fitted scale factor is zero, so the spectrum update is undefined."""
 

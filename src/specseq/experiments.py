@@ -24,7 +24,7 @@ import numpy as np
 from . import baselines, oracle, rounding, sdp
 from ._version import __version__
 from .errors import DivergenceError, InfeasibleRelaxationError, NoFeasibleError
-from .problem import BandSpec, DesignProblem, ScoreKind, band_metrics
+from .problem import BandSpec, DesignProblem, ScoreKind, band_metrics, is_int_list
 
 #: reference length the published band layouts are given for
 _REFERENCE_N = 128
@@ -215,7 +215,15 @@ def config_from_json_dict(data: dict) -> ExperimentConfig:
         updates["problem"] = DesignProblem.from_json_dict(data["problem"])
     if "sweep" in data:
         sweep = data["sweep"]
-        updates["sweep"] = tuple(tuple(v) if isinstance(v, list) else v for v in sweep)
+        cells = kind is ExperimentKind.BETA_DISTRIBUTION
+        if not isinstance(sweep, list) or not all(
+            (is_int_list(v) and len(v) == 3 and 1 <= v[1] <= v[0] and v[2] >= 1)
+            if cells else type(v) in (int, float)
+            for v in sweep
+        ):
+            entries = "[n, K, R] integer cells with 1 <= K <= n and R >= 1" if cells else "numbers"
+            raise ValueError(f"sweep of {kind.value} must list {entries}: {sweep!r}")
+        updates["sweep"] = tuple(tuple(v) if cells else v for v in sweep)
     for name in ("repetitions", "shape_max_iters", "lpnn_max_iters"):
         if name in data:
             updates[name] = int(data[name])

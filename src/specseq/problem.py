@@ -1,22 +1,27 @@
-"""Design problems, binary sequences, and the scalar quality metrics.
+"""Design problems, binary sequences, and their quality metrics.
 
 A design problem asks for a length-n sequence with entries in {-1, +1}
 whose spectrum is large over a set of message bins and whose total power
 over a disjoint set of interferer bins stays below a tolerance alpha.
 All metrics are computed by one vectorized kernel, band_metrics, over a
-block of sequences; the scalar functions read its single-row case.
+block of sequences; metric_bundle reads its single-row case.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from enum import Enum
 
 import numpy as np
 
 from .errors import EmptyMessageError, LengthMismatchError, OverlapError
+
+
+def is_int_list(value) -> bool:
+    """Whether a JSON value is a list of integers (true and false are not integers)."""
+    return isinstance(value, list) and all(type(v) is int for v in value)
 
 
 @dataclass(frozen=True)
@@ -76,6 +81,9 @@ class DesignProblem:
         missing = {"n", "message", "interferer", "alpha"} - set(data)
         if missing:
             raise ValueError(f"missing problem fields: {sorted(missing)}")
+        for name in ("message", "interferer"):
+            if not is_int_list(data[name]):
+                raise ValueError(f"problem field {name!r} must list integers: {data[name]!r}")
         return cls(
             n=int(data["n"]),
             message=BandSpec(tuple(data["message"])),
@@ -134,13 +142,7 @@ class MetricBundle:
         return getattr(self, _SCORE_FIELDS[kind])
 
     def to_json_dict(self) -> dict:
-        return {
-            "message_power": self.message_power,
-            "interferer_power": self.interferer_power,
-            "rejection_ratio": self.rejection_ratio,
-            "reciprocal_dynamic_range": self.reciprocal_dynamic_range,
-            "feasible": self.feasible,
-        }
+        return asdict(self)
 
 
 def validate_problem(p: DesignProblem) -> DesignProblem:
@@ -220,12 +222,9 @@ class BandMetrics:
 
     def row(self, i: int) -> MetricBundle:
         """The metrics of row i, exactly as stored in the block."""
+        # the fields of MetricBundle, not of self: a TrialTable also holds gamma
         return MetricBundle(
-            message_power=float(self.message_power[i]),
-            interferer_power=float(self.interferer_power[i]),
-            rejection_ratio=float(self.rejection_ratio[i]),
-            reciprocal_dynamic_range=float(self.reciprocal_dynamic_range[i]),
-            feasible=bool(self.feasible[i]),
+            **{f.name: getattr(self, f.name)[i].item() for f in fields(MetricBundle)}
         )
 
 
@@ -294,30 +293,6 @@ def band_metrics(p: DesignProblem, signs) -> BandMetrics:
 def metric_bundle(p: DesignProblem, s) -> MetricBundle:
     """All metrics of one sequence: the single-row case of band_metrics."""
     return band_metrics(p, as_sequence(p, s)[None, :]).row(0)
-
-
-def message_power(p: DesignProblem, s) -> float:
-    """Total spectral power of s over the message band."""
-    return metric_bundle(p, s).message_power
-
-
-def interferer_power(p: DesignProblem, s) -> float:
-    """Total spectral power of s over the interferer band; 0 for an empty band."""
-    return metric_bundle(p, s).interferer_power
-
-
-def rejection_ratio(p: DesignProblem, s) -> float:
-    """Smallest message-bin magnitude over largest interferer-bin magnitude.
-
-    +inf for a perfect notch under a live message band, 0 when both
-    bands are nulled; see band_metrics.
-    """
-    return metric_bundle(p, s).rejection_ratio
-
-
-def reciprocal_dynamic_range(p: DesignProblem, s) -> float:
-    """Smallest over largest message-bin magnitude, in [0, 1]; 0/0 maps to 0."""
-    return metric_bundle(p, s).reciprocal_dynamic_range
 
 
 def sequence_line(s) -> str:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import DegenerateObjectiveError, EmptyInterfererError, RankZeroError
+from .errors import EmptyInterfererError, RankZeroError
 from .problem import (
     BandMetrics,
     DesignProblem,
@@ -94,16 +94,6 @@ class DesignResult:
         }
 
 
-def sample_candidate(factor: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Quantize one Gaussian projection through the factor to signs.
-
-    Zero entries map to +1, so a zero factor yields the all-ones sequence.
-    """
-    v = rng.standard_normal(factor.shape[1])
-    w = factor @ v
-    return np.where(w >= 0.0, 1, -1).astype(np.int8)
-
-
 def _trial_normals(rng: np.random.Generator, start: int, count: int, r: int) -> np.ndarray:
     """Normals of trials start .. start+count-1, one row of r per trial.
 
@@ -145,8 +135,9 @@ def run_design(
     for start in range(0, p.trials, _CHUNK):
         count = min(_CHUNK, p.trials - start)
         v = _trial_normals(rng, start, count, factor_t.shape[0])
-        # exactly +-1, with -0.0 to +1 and NaN to -1 as sample_candidate
-        # maps them, and several times faster than np.where on the mask
+        # exactly +-1, with -0.0 to +1 and NaN to -1 as the np.where of
+        # quantized_principal_eigenvector maps them, and several times
+        # faster than np.where on the mask
         signs = (v @ factor_t >= 0.0) * 2.0 - 1.0
         scored = band_metrics(p, signs)
         feasible = scored.feasible
@@ -164,9 +155,7 @@ def run_design(
 
     best = None
     if best_seq is not None:
-        gamma = None
-        if objective > _OBJECTIVE_FLOOR:
-            gamma = best_metrics.message_power / objective
+        gamma = best_metrics.message_power / objective if objective > _OBJECTIVE_FLOOR else None
         best = Candidate(
             sequence=best_seq, metrics=best_metrics, trial_index=best_trial, gamma=gamma
         )
@@ -200,9 +189,7 @@ def quantized_principal_eigenvector(p: DesignProblem, sol: SdpSolution) -> Candi
         raise RankZeroError("solution matrix has no positive eigenvalue")
     seq = np.where(lead >= 0.0, 1, -1).astype(np.int8)
     metrics = metric_bundle(p, seq)
-    gamma = None
-    if sol.objective > _OBJECTIVE_FLOOR:
-        gamma = metrics.message_power / sol.objective
+    gamma = metrics.message_power / sol.objective if sol.objective > _OBJECTIVE_FLOOR else None
     return Candidate(sequence=seq, metrics=metrics, trial_index=-1, gamma=gamma)
 
 
@@ -238,12 +225,3 @@ def mcdiarmid_bound(p: DesignProblem) -> float:
     if k == 0:
         raise EmptyInterfererError("bound requires a nonempty interferer band")
     return math.exp(-(p.alpha**2) / (8.0 * p.n * math.pi**2 * k**2))
-
-
-def approximation_ratio(candidate: Candidate, sol: SdpSolution) -> float:
-    """Message power of the candidate over the relaxation objective."""
-    if sol.objective <= _OBJECTIVE_FLOOR:
-        raise DegenerateObjectiveError(
-            f"relaxation objective {sol.objective:.3e} too small to normalize by"
-        )
-    return candidate.metrics.message_power / sol.objective

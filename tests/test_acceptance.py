@@ -21,12 +21,12 @@ from specseq import (
     arcsin_trace_ratio,
     exhaustive_search,
     halved_constraint_optimum,
-    interferer_power,
+    metric_bundle,
     run_design,
-    sample_candidate,
     solve_relaxation,
 )
 from specseq.cli import main
+from helpers import sample_candidate
 
 
 def paper_bands(n):
@@ -124,7 +124,7 @@ def test_criterion_3_relaxation_dominance():
         intf = BandSpec(tuple(int(b) for b in bins[3:6]))
         probe = DesignProblem(12, msg, intf, 0.0, 10, 0)
         s = rng.integers(0, 2, 12) * 2 - 1
-        alpha = max(0.5, 2.0 * interferer_power(probe, s))
+        alpha = max(0.5, 2.0 * metric_bundle(probe, s).interferer_power)
         p = DesignProblem(12, msg, intf, alpha, 10, int(i))
         sol = solve_relaxation(p)
         halved = halved_constraint_optimum(p)
@@ -179,11 +179,11 @@ def test_criterion_5_bounded_differences():
     worst = 0.0
     for ell in range(100):
         cand = sample_candidate(sol.factor, np.random.default_rng(p.seed ^ ell))
-        g0 = interferer_power(p, cand)
+        g0 = metric_bundle(p, cand).interferer_power
         for i in range(p.n):
             flipped = cand.copy()
             flipped[i] = -flipped[i]
-            worst = max(worst, abs(interferer_power(p, flipped) - g0))
+            worst = max(worst, abs(metric_bundle(p, flipped).interferer_power - g0))
     assert worst <= 4.0 * k + 1e-9
     print(f"ACCEPTANCE 5 bounded differences: PASS worst_delta={worst:.3f} bound={4*k}")
 

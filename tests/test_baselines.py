@@ -7,8 +7,6 @@ from specseq import (
     BandSpec,
     DesignProblem,
     DivergenceError,
-    LpnnState,
-    lpnn_increments,
     metric_bundle,
     run_lpnn,
     run_shape,
@@ -24,6 +22,8 @@ from specseq.baselines import (
     LPNN_AUGMENT,
     SHAPE_TOL,
     UNBOUNDED,
+    _LpnnKernel,
+    _to_complex,
     lpnn_target_spectrum,
 )
 
@@ -178,20 +178,35 @@ def assert_matches(actual, expected):
     )
 
 
-def dense_lpnn_increments(state, p, target_spectrum):
-    """lpnn_increments written with products by the dense DFT."""
+def kernel_increments(neurons, scale, multipliers, p, target_spectrum):
+    """(d_neurons, d_scale, residual) from run_lpnn's kernel, baselines._LpnnKernel.
+
+    Unimodular neurons are real-stacked [Re s; Im s], in and out. d_neurons
+    and d_scale are the negative Lagrangian gradients; the modulus
+    residuals are the multipliers' increments.
+    """
+    unimodular = neurons.shape[0] == 2 * p.n
+    kernel = _LpnnKernel(target_spectrum, unimodular)
+    d_scale = kernel(_to_complex(neurons) if unimodular else neurons, scale, multipliers)
+    grad = kernel.grad
+    d_neurons = -np.concatenate([grad.real, grad.imag]) if unimodular else -grad
+    return d_neurons, d_scale, kernel.residual
+
+
+def dense_lpnn_increments(neurons, scale, multipliers, p, target_spectrum):
+    """kernel_increments written with products by the dense DFT."""
     n = p.n
     f = dense_dft(n)
-    if state.neurons.shape[0] == 2 * n:
-        c = state.neurons[:n] + 1j * state.neurons[n:]
+    if neurons.shape[0] == 2 * n:
+        c = neurons[:n] + 1j * neurons[n:]
     else:
-        c = state.neurons.astype(complex)
+        c = neurons.astype(complex)
     y = f.conj().T @ c
-    r = np.abs(y) ** 2 - state.scale * target_spectrum
+    r = np.abs(y) ** 2 - scale * target_spectrum
     modulus = np.abs(c) ** 2
-    penalty = 4.0 * LPNN_AUGMENT * (modulus - 1.0) + 2.0 * state.multipliers
+    penalty = 4.0 * LPNN_AUGMENT * (modulus - 1.0) + 2.0 * multipliers
     grad = 4.0 * (f @ (r * y)) + penalty * c
-    if state.neurons.shape[0] == 2 * n:
+    if neurons.shape[0] == 2 * n:
         d_neurons = -np.concatenate([grad.real, grad.imag])
     else:
         d_neurons = -grad.real
@@ -254,13 +269,11 @@ class TestDenseDefinition:
         p = self.problem(n)
         target = lpnn_target_spectrum(p, shape_bounds_from_problem(p))
         rng = np.random.default_rng(50 + n)
-        state = LpnnState(
-            neurons=rng.standard_normal(n if binary else 2 * n),
-            scale=float(rng.standard_normal()),
-            multipliers=rng.standard_normal(n),
-        )
-        got = lpnn_increments(state, p, target)
-        for actual, expected in zip(got, dense_lpnn_increments(state, p, target)):
+        neurons = rng.standard_normal(n if binary else 2 * n)
+        scale = float(rng.standard_normal())
+        multipliers = rng.standard_normal(n)
+        args = (neurons, scale, multipliers, p, target)
+        for actual, expected in zip(kernel_increments(*args), dense_lpnn_increments(*args)):
             assert_matches(actual, expected)
 
 
@@ -329,28 +342,26 @@ class TestLpnnIncrements:
         p = make_problem(8, (1, 2), (4,), alpha=2.0)
         target = lpnn_target_spectrum(p, shape_bounds_from_problem(p))
         rng = np.random.default_rng(31)
-        state = LpnnState(
-            neurons=rng.standard_normal(variant_dim),
-            scale=float(rng.standard_normal()),
-            multipliers=rng.standard_normal(8),
-        )
-        d_neurons, d_scale, residual = lpnn_increments(state, p, target)
+        neurons = rng.standard_normal(variant_dim)
+        scale = float(rng.standard_normal())
+        multipliers = rng.standard_normal(8)
+        d_neurons, d_scale, residual = kernel_increments(neurons, scale, multipliers, p, target)
         eps = 1e-6
         for i in range(variant_dim):
             bump = np.zeros(variant_dim)
             bump[i] = eps
-            plus = self.lagrangian(p, state.neurons + bump, state.scale, state.multipliers, target)
-            minus = self.lagrangian(p, state.neurons - bump, state.scale, state.multipliers, target)
+            plus = self.lagrangian(p, neurons + bump, scale, multipliers, target)
+            minus = self.lagrangian(p, neurons - bump, scale, multipliers, target)
             fd = -(plus - minus) / (2 * eps)
             assert fd == pytest.approx(d_neurons[i], rel=1e-5, abs=1e-6)
-        plus = self.lagrangian(p, state.neurons, state.scale + eps, state.multipliers, target)
-        minus = self.lagrangian(p, state.neurons, state.scale - eps, state.multipliers, target)
+        plus = self.lagrangian(p, neurons, scale + eps, multipliers, target)
+        minus = self.lagrangian(p, neurons, scale - eps, multipliers, target)
         assert -(plus - minus) / (2 * eps) == pytest.approx(d_scale, rel=1e-5, abs=1e-6)
         # multiplier increments ascend the Lagrangian: they are the residuals
         if variant_dim == 8:
-            assert np.allclose(residual, state.neurons**2 - 1.0)
+            assert np.allclose(residual, neurons**2 - 1.0)
         else:
-            c = state.neurons[:8] + 1j * state.neurons[8:]
+            c = neurons[:8] + 1j * neurons[8:]
             assert np.allclose(residual, np.abs(c) ** 2 - 1.0)
 
     def test_stationary_point_gives_zero_increments(self):
@@ -359,11 +370,8 @@ class TestLpnnIncrements:
         # c = 1 puts all power n in bin 0 and meets every modulus constraint;
         # this scale zeroes the scale gradient and these multipliers the neuron gradient
         scale = p.n * target[0] / float(np.sum(target**2))
-        state = LpnnState(
-            neurons=np.ones(8), scale=scale,
-            multipliers=np.full(8, -2.0 * (p.n - scale * target[0])),
-        )
-        d_neurons, d_scale, residual = lpnn_increments(state, p, target)
+        multipliers = np.full(8, -2.0 * (p.n - scale * target[0]))
+        d_neurons, d_scale, residual = kernel_increments(np.ones(8), scale, multipliers, p, target)
         assert np.abs(d_neurons).max() <= 1e-8
         assert abs(d_scale) <= 1e-8
         assert np.abs(residual).max() <= 1e-8
@@ -415,70 +423,69 @@ class TestRunLpnn:
         assert np.array_equal(a.sequence, b.sequence)
 
 
-def plain_lpnn_increments(state, p, target_spectrum):
-    """lpnn_increments written with temporaries, in the order of operations run_lpnn must keep."""
+def plain_lpnn_increments(neurons, scale, multipliers, p, target_spectrum):
+    """kernel_increments with temporaries, in the order of operations run_lpnn must keep."""
     n = p.n
-    if state.neurons.shape[0] == 2 * n:
-        c = state.neurons[:n] + 1j * state.neurons[n:]
+    if neurons.shape[0] == 2 * n:
+        c = neurons[:n] + 1j * neurons[n:]
         y = np.fft.ifft(c, norm="ortho")
-        r = y.real**2 + y.imag**2 - state.scale * target_spectrum
+        r = y.real**2 + y.imag**2 - scale * target_spectrum
         grad_c = 4.0 * np.fft.fft(r * y, norm="ortho")
         modulus = c.real**2 + c.imag**2
-        grad_c += (4.0 * LPNN_AUGMENT * (modulus - 1.0) + 2.0 * state.multipliers) * c
+        grad_c += (4.0 * LPNN_AUGMENT * (modulus - 1.0) + 2.0 * multipliers) * c
         d_neurons = -np.concatenate([grad_c.real, grad_c.imag])
     else:
-        s = state.neurons
+        s = neurons
         y = np.fft.ifft(s, norm="ortho")
-        r = y.real**2 + y.imag**2 - state.scale * target_spectrum
+        r = y.real**2 + y.imag**2 - scale * target_spectrum
         grad = 4.0 * np.fft.fft(r * y, norm="ortho").real
         modulus = s**2
-        grad += (4.0 * LPNN_AUGMENT * (modulus - 1.0) + 2.0 * state.multipliers) * s
+        grad += (4.0 * LPNN_AUGMENT * (modulus - 1.0) + 2.0 * multipliers) * s
         d_neurons = -grad
     return d_neurons, 2.0 * float(np.sum(r * target_spectrum)), modulus - 1.0
 
 
 def replay_lpnn(p, variant, max_iters, step=1e-3):
-    """run_lpnn as a plain Euler loop over lpnn_increments, checking each step bitwise.
+    """run_lpnn as a plain Euler loop over kernel_increments, checking each step bitwise.
 
     Returns (sequence, trace, iterations, converged), or the iteration
     at which a neuron passed 1e6 in magnitude.
     """
     target = lpnn_target_spectrum(p, shape_bounds_from_problem(p))
     rng = np.random.default_rng([p.seed, _LPNN_STREAM])
-    state = LpnnState(
-        neurons=rng.standard_normal(p.n if variant == "binary" else 2 * p.n),
-        scale=float(rng.standard_normal()),
-        multipliers=rng.standard_normal(p.n),
-    )
+    neurons = rng.standard_normal(p.n if variant == "binary" else 2 * p.n)
+    scale = float(rng.standard_normal())
+    multipliers = rng.standard_normal(p.n)
     trace = []
     iterations = 0
     converged = False
     for iterations in range(1, max_iters + 1):
-        d_neurons, d_scale, residual = lpnn_increments(state, p, target)
-        plain = plain_lpnn_increments(state, p, target)
+        args = (neurons, scale, multipliers, p, target)
+        d_neurons, d_scale, residual = kernel_increments(*args)
+        plain = plain_lpnn_increments(*args)
         assert d_neurons.tobytes() == plain[0].tobytes()
         assert d_scale.hex() == plain[1].hex()
         assert residual.tobytes() == plain[2].tobytes()
-        state.neurons = state.neurons + step * d_neurons
-        state.scale = state.scale + step * d_scale
-        state.multipliers = state.multipliers + step * residual
+        neurons = neurons + step * d_neurons
+        scale = scale + step * d_scale
+        multipliers = multipliers + step * residual
         worst_residual = float(np.max(np.abs(residual)))
         trace.append(worst_residual)
-        if np.max(np.abs(state.neurons)) > 1e6:
+        if np.max(np.abs(neurons)) > 1e6:
             return iterations
         if max(float(np.max(np.abs(d_neurons))), abs(d_scale), worst_residual) < 1e-8:
             converged = True
             break
     if variant == "binary":
-        seq = np.where(state.neurons >= 0.0, 1, -1).astype(np.int8)
+        seq = np.where(neurons >= 0.0, 1, -1).astype(np.int8)
     else:
-        c = state.neurons[: p.n] + 1j * state.neurons[p.n :]
+        c = neurons[: p.n] + 1j * neurons[p.n :]
         seq = c / np.abs(c)
     return seq, np.asarray(trace), iterations, converged
 
 
 class TestLpnnExactness:
-    """run_lpnn's in-place steps are bitwise the plain Euler loop over lpnn_increments."""
+    """run_lpnn's in-place steps are bitwise the plain Euler loop over its kernel."""
 
     @pytest.mark.parametrize(
         "p, max_iters, step",

@@ -118,6 +118,41 @@ class TestDesign:
         assert "overlap" in err.lower()
 
 
+class TestMalformedConfig:
+    """A malformed config ends in one error line naming the field, and exit 1."""
+
+    @staticmethod
+    def assert_error(code, out, err, field):
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+        assert field in err
+
+    @pytest.mark.parametrize("message", [3, [1.5]], ids=["scalar-band", "float-bin"])
+    def test_problem_band(self, tmp_path, capsys, message):
+        path = tmp_path / "problem.json"
+        path.write_text(
+            json.dumps({"n": 16, "message": message, "interferer": [5], "alpha": 2.0})
+        )
+        self.assert_error(*run_cli(capsys, "design", str(path)), "'message'")
+
+    @pytest.mark.parametrize(
+        "kind, sweep",
+        [
+            ("BetaDistribution", [8]),
+            ("BetaDistribution", [[8, 12, 2]]),
+            ("OracleComparison", [[64]]),
+            ("FeasibilityVsAlpha", 5),
+        ],
+        ids=["beta-scalar-cell", "beta-k-above-n", "oracle-list-entry", "sweep-not-a-list"],
+    )
+    def test_experiment_sweep(self, tmp_path, capsys, kind, sweep):
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({"kind": kind, "sweep": sweep, "repetitions": 2}))
+        code, out, err = run_cli(capsys, "experiment", str(path), "--jobs", "1",
+                                 "--output", str(tmp_path / "out.csv"))
+        self.assert_error(code, out, err, f"sweep of {kind}")
+
+
 class TestOracle:
     def test_schema(self, problem_config, capsys):
         code, out, _ = run_cli(capsys, "oracle", problem_config)

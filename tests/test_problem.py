@@ -16,11 +16,7 @@ from specseq import (
     ScoreKind,
     band_metrics,
     build_partial_dft,
-    interferer_power,
-    message_power,
     metric_bundle,
-    rejection_ratio,
-    reciprocal_dynamic_range,
     sequence_line,
     validate_problem,
 )
@@ -99,11 +95,12 @@ class TestValidation:
 class TestMessagePower:
     def test_dc_all_ones(self):
         p = make_problem(4, (0,), ())
-        assert message_power(p, np.ones(4)) == pytest.approx(4.0, abs=1e-12)
+        assert metric_bundle(p, np.ones(4)).message_power == pytest.approx(4.0, abs=1e-12)
 
     def test_dc_alternating_is_zero(self):
         p = make_problem(4, (0,), ())
-        assert message_power(p, np.array([1, -1, 1, -1])) == pytest.approx(0.0, abs=1e-12)
+        alternating = np.array([1, -1, 1, -1])
+        assert metric_bundle(p, alternating).message_power == pytest.approx(0.0, abs=1e-12)
 
     def test_exhaustive_optimum_n8(self):
         # brute force over all 2^8 sequences, message band {1, 7}
@@ -116,44 +113,44 @@ class TestMessagePower:
             if f > best:
                 best, best_s = f, s
         assert best == pytest.approx(6.828427124746192, rel=1e-12)
-        assert message_power(p, best_s) == pytest.approx(best, rel=1e-10)
+        assert metric_bundle(p, best_s).message_power == pytest.approx(best, rel=1e-10)
 
     def test_length_mismatch(self):
         p = make_problem(8, (1,), ())
         with pytest.raises(LengthMismatchError):
-            message_power(p, np.ones(7))
+            metric_bundle(p, np.ones(7))
 
 
 class TestInterfererPower:
     def test_empty_band_is_zero(self):
         p = make_problem(8, (1,), ())
-        assert interferer_power(p, np.ones(8)) == 0.0
+        assert metric_bundle(p, np.ones(8)).interferer_power == 0.0
 
     def test_dc_case(self):
         p = make_problem(4, (1,), (0,))
-        assert interferer_power(p, np.ones(4)) == pytest.approx(4.0, abs=1e-12)
+        assert metric_bundle(p, np.ones(4)).interferer_power == pytest.approx(4.0, abs=1e-12)
 
     def test_against_naive_dft_n16(self):
         p = make_problem(16, (1,), (3, 5))
         s = np.ones(16)
         expected = naive_magnitude(s, 3) ** 2 + naive_magnitude(s, 5) ** 2
-        assert interferer_power(p, s) == pytest.approx(expected, abs=1e-12)
+        assert metric_bundle(p, s).interferer_power == pytest.approx(expected, abs=1e-12)
         rng = np.random.default_rng(11)
         s = rng.integers(0, 2, 16) * 2 - 1
         expected = naive_magnitude(s, 3) ** 2 + naive_magnitude(s, 5) ** 2
-        assert interferer_power(p, s) == pytest.approx(expected, rel=1e-10)
+        assert metric_bundle(p, s).interferer_power == pytest.approx(expected, rel=1e-10)
 
 
 class TestRejectionRatio:
     def test_perfect_null_is_infinite(self):
         p = make_problem(4, (0,), (2,))
-        assert rejection_ratio(p, np.ones(4)) == math.inf
+        assert metric_bundle(p, np.ones(4)).rejection_ratio == math.inf
 
     def test_nulled_message_is_worthless(self):
         # the constant sequence nulls every bin away from DC; with bands
         # that exclude DC it scores 0, never +inf
         p = make_problem(16, (2, 3), (6, 7))
-        assert rejection_ratio(p, np.ones(16)) == 0.0
+        assert metric_bundle(p, np.ones(16)).rejection_ratio == 0.0
         assert metric_bundle(p, np.ones(16)).rejection_ratio == 0.0
 
     def test_negation_invariance(self):
@@ -161,10 +158,11 @@ class TestRejectionRatio:
         rng = np.random.default_rng(5)
         for _ in range(20):
             s = rng.integers(0, 2, 16) * 2 - 1
-            assert rejection_ratio(p, s) == rejection_ratio(p, -s)
-            assert message_power(p, s) == message_power(p, -s)
-            assert interferer_power(p, s) == interferer_power(p, -s)
-            assert reciprocal_dynamic_range(p, s) == reciprocal_dynamic_range(p, -s)
+            b, negated = metric_bundle(p, s), metric_bundle(p, -s)
+            assert b.rejection_ratio == negated.rejection_ratio
+            assert b.message_power == negated.message_power
+            assert b.interferer_power == negated.interferer_power
+            assert b.reciprocal_dynamic_range == negated.reciprocal_dynamic_range
 
     def test_exhaustive_maximum_n16(self):
         # brute force over 2^15 sequences with the leading entry fixed
@@ -178,7 +176,8 @@ class TestRejectionRatio:
         )
         best = rho.max()
         assert best == pytest.approx(5.828427124746226, rel=1e-9)
-        assert rejection_ratio(p, signs[int(np.argmax(rho))]) == pytest.approx(best, rel=1e-9)
+        best_s = signs[int(np.argmax(rho))]
+        assert metric_bundle(p, best_s).rejection_ratio == pytest.approx(best, rel=1e-9)
 
 
 class TestReciprocalDynamicRange:
@@ -186,18 +185,19 @@ class TestReciprocalDynamicRange:
         p = make_problem(8, (1,), ())
         s = np.ones(8)
         s[0] = -1
-        assert reciprocal_dynamic_range(p, s) == pytest.approx(1.0)
+        assert metric_bundle(p, s).reciprocal_dynamic_range == pytest.approx(1.0)
 
     def test_null_bin_gives_zero(self):
         p = make_problem(4, (0, 2), ())
-        assert reciprocal_dynamic_range(p, np.ones(4)) == pytest.approx(0.0, abs=1e-12)
+        chi = metric_bundle(p, np.ones(4)).reciprocal_dynamic_range
+        assert chi == pytest.approx(0.0, abs=1e-12)
 
     def test_value_in_unit_interval(self):
         p = make_problem(16, (1, 2, 3), (6, 7))
         rng = np.random.default_rng(9)
         for _ in range(50):
             s = rng.integers(0, 2, 16) * 2 - 1
-            chi = reciprocal_dynamic_range(p, s)
+            chi = metric_bundle(p, s).reciprocal_dynamic_range
             assert 0.0 <= chi <= 1.0
 
 
@@ -208,10 +208,10 @@ class TestBundleAndInvariants:
         for _ in range(20):
             s = rng.integers(0, 2, 16) * 2 - 1
             b = metric_bundle(p, s)
-            assert b.message_power == message_power(p, s)
-            assert b.interferer_power == interferer_power(p, s)
-            assert b.rejection_ratio == rejection_ratio(p, s)
-            assert b.reciprocal_dynamic_range == reciprocal_dynamic_range(p, s)
+            assert b.message_power == metric_bundle(p, s).message_power
+            assert b.interferer_power == metric_bundle(p, s).interferer_power
+            assert b.rejection_ratio == metric_bundle(p, s).rejection_ratio
+            assert b.reciprocal_dynamic_range == metric_bundle(p, s).reciprocal_dynamic_range
             assert b.feasible == (b.interferer_power <= p.alpha)
 
     def test_parseval_bound(self):
@@ -235,7 +235,8 @@ class TestBundleAndInvariants:
         for k in range(1, 12):
             pk = make_problem(12, (k,), ())
             pm = make_problem(12, ((12 - k) % 12,), ())
-            assert message_power(pk, s) == pytest.approx(message_power(pm, s), rel=1e-12)
+            mirror = metric_bundle(pm, s).message_power
+            assert metric_bundle(pk, s).message_power == pytest.approx(mirror, rel=1e-12)
 
     def test_score_selection(self):
         b = MetricBundle(3.0, 0.5, 2.0, 0.25, True)
@@ -352,7 +353,7 @@ class TestBandMetrics:
         with pytest.raises(EmptyMessageError):
             band_metrics(make_problem(8, (), (2,)), np.ones((1, 8)))
         with pytest.raises(EmptyMessageError):
-            message_power(make_problem(8, (), (2,)), np.ones(8))
+            metric_bundle(make_problem(8, (), (2,)), np.ones(8))
 
 
 def plain_band_metrics(p, signs):

@@ -7,25 +7,22 @@ import pytest
 from specseq import (
     BandMetrics,
     BandSpec,
-    DegenerateObjectiveError,
     DesignProblem,
     EmptyInterfererError,
     MetricBundle,
     RankZeroError,
     ScoreKind,
-    approximation_ratio,
     arcsin_trace_ratio,
     build_partial_dft,
-    interferer_power,
     mcdiarmid_bound,
     metric_bundle,
     quantized_principal_eigenvector,
     run_design,
-    sample_candidate,
     solve_relaxation,
 )
 from specseq import rounding
 from specseq.sdp import RANK_TOL, SdpSolution
+from helpers import sample_candidate
 from test_problem import assert_bitwise, plain_band_metrics
 
 
@@ -305,11 +302,11 @@ class TestRunDesign:
         rng = np.random.default_rng(0)
         for ell in range(p.trials):
             cand = sample_candidate(sol.factor, np.random.default_rng(p.seed ^ ell))
-            g0 = interferer_power(p, cand)
+            g0 = metric_bundle(p, cand).interferer_power
             for i in range(p.n):
                 flipped = cand.copy()
                 flipped[i] = -flipped[i]
-                assert abs(interferer_power(p, flipped) - g0) <= 4 * k + 1e-9
+                assert abs(metric_bundle(p, flipped).interferer_power - g0) <= 4 * k + 1e-9
 
 
 class TestQuantizedEigenvector:
@@ -399,17 +396,15 @@ class TestTheoryQuantities:
         with pytest.raises(EmptyInterfererError):
             mcdiarmid_bound(make_problem(8, (1,), ()))
 
-    def test_approximation_ratio_rank_one(self):
-        s = np.array([1, 1, -1, 1], dtype=float)
-        p = make_problem(4, (1,), ())
-        sol = solution_from_matrix(np.outer(s, s), p)
-        cand = quantized_principal_eigenvector(p, sol)
-        assert approximation_ratio(cand, sol) == pytest.approx(1.0, rel=1e-9)
-
-    def test_approximation_ratio_degenerate_objective(self):
-        p = make_problem(4, (1,), ())
-        sol = solution_from_matrix(np.eye(4) * 1e-15, p)
-        cand_sol = solution_from_matrix(np.eye(4), p)
-        cand = quantized_principal_eigenvector(p, cand_sol)
-        with pytest.raises(DegenerateObjectiveError):
-            approximation_ratio(cand, sol)
+    def test_zero_objective_leaves_gamma_unset(self):
+        # message bin 3 mirrors interferer bin 13, so at alpha=0 the
+        # relaxation must null the message band too: no ratio to normalize by
+        p = make_problem(16, (3,), (13,), alpha=0.0, trials=1000)
+        sol = solve_relaxation(p)
+        assert sol.objective == 0.0 and sol.kkt_residual == 0.0
+        res = run_design(p, sol, retain=True)
+        assert res.n_feasible > 0
+        assert res.best.gamma is None
+        assert res.gamma_min_feasible is None
+        assert res.trial_table.gamma is None
+        assert quantized_principal_eigenvector(p, sol).gamma is None

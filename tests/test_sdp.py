@@ -73,9 +73,7 @@ def random_config(rng, n=12, widths=(3, 3)):
     intf = tuple(int(b) for b in bins[widths[0] : widths[0] + widths[1]])
     s = rng.integers(0, 2, n) * 2 - 1
     probe = make_problem(n, msg, intf, 0.0)
-    from specseq import interferer_power
-
-    alpha = max(0.5, 2.0 * interferer_power(probe, s))
+    alpha = max(0.5, 2.0 * metric_bundle(probe, s).interferer_power)
     return make_problem(n, msg, intf, alpha)
 
 
