@@ -203,20 +203,35 @@ def _to_complex(t: np.ndarray) -> np.ndarray:
     return c
 
 
-class _LpnnKernel:
+def _lpnn_kernel(target: np.ndarray, unimodular: bool):
     """LPNN's increments for one problem, evaluated in buffers made once.
 
-    Neurons are a real n-vector (binary variant) or a complex n-vector
-    (unimodular): the real-stacked neurons t = [Re s; Im s] of the
-    unimodular formulation, whose rank-two real blocks reduce to complex
-    products with the DFT basis. A call leaves the Lagrangian gradient in
-    ``grad`` (the neuron increment is its negative) and the modulus
-    residuals in ``residual``, and returns the scale increment. Every ufunc
-    writes through ``out=`` but takes its operands in the order of the plain
-    expression ``4.0 * F ((|F^H c|^2 - scale * target) * F^H c) +
-    (4 * LPNN_AUGMENT * (|c|^2 - 1) + 2 * multipliers) * c`` (the real part
-    of its first term for binary neurons), so the results are bitwise those
-    of evaluating it with temporaries.
+    Returns ``(increments, grad)``. Neurons are a real n-vector (binary
+    variant) or a complex n-vector (unimodular): the real-stacked neurons
+    t = [Re s; Im s] of the unimodular formulation, whose rank-two real
+    blocks reduce to complex products with the DFT basis.
+    ``increments(neurons, scale, multipliers, residual)`` leaves the
+    Lagrangian gradient in ``grad`` (the neuron increment is its negative)
+    and the modulus residuals in ``residual``, and returns the scale
+    increment. Every ufunc writes into a buffer but takes its operands in
+    the order of the plain expression ``4.0 * F ((|F^H c|^2 - scale *
+    target) * F^H c) + (4 * LPNN_AUGMENT * (|c|^2 - 1) + 2 * multipliers) *
+    c`` (the real part of its first term for binary neurons), so the
+    results are bitwise those of evaluating it with temporaries.
+
+    At n=64 a step's time is its ufunc dispatches, not their arithmetic.
+    Three things cut them without changing a bit:
+
+    - Each squared modulus |z|^2 (|F^H c|^2, and |c|^2 for unimodular
+      neurons) is one ``np.square`` over the complex array's float view,
+      then one ``np.add`` of the view's even (real) and odd (imaginary)
+      halves: per entry the same two squares and one add as
+      ``z.real**2 + z.imag**2``, in one call fewer.
+    - The ufuncs, buffers and views are bound once, in the closure, and
+      every ufunc takes its output positionally, which skips keyword
+      parsing and leaves the arithmetic as it is.
+    - The scale increment's sum is ``np.add.reduce``: the pairwise sum that
+      ``ndarray.sum`` makes through it, without that Python wrapper.
 
     The transforms call numpy's private ``numpy.fft._pocketfft_umath``
     gufuncs with the factor 1/sqrt(n) that ``np.fft`` computes for
@@ -224,56 +239,51 @@ class _LpnnKernel:
     ``TestLpnnExactness`` replays every step through plain ``np.fft`` calls,
     so it fails if a numpy release changes that module or that factor.
     """
+    # numpy.fft loads on first use; importing it here keeps `import specseq` from loading it
+    from numpy.fft import _pocketfft_umath
 
-    def __init__(self, target: np.ndarray, unimodular: bool):
-        # numpy.fft loads on first use; importing it here keeps `import specseq` from loading it
-        from numpy.fft import _pocketfft_umath
+    n = target.shape[0]
+    ifft, fft = _pocketfft_umath.ifft, _pocketfft_umath.fft
+    square, add, subtract, multiply = np.square, np.add, np.subtract, np.multiply
+    add_reduce = np.add.reduce
+    fct = np.reciprocal(np.sqrt(n, dtype=np.float64))
+    gain = 4.0 * LPNN_AUGMENT
+    grad = np.empty(n, dtype=complex if unimodular else float)
+    y = np.empty(n, dtype=complex)
+    y_flat, y_real = y.view(float), y.real
+    ry = np.empty(n, dtype=complex)
+    squares = np.empty(2 * n)
+    squares_real, squares_imag = squares[0::2], squares[1::2]
+    r = np.empty(n)
+    penalty = np.empty(n)
+    tmp = np.empty(n)
+    work = np.empty_like(grad)
 
-        n = target.shape[0]
-        dtype = complex if unimodular else float
-        self.target = target
-        self.gain = 4.0 * LPNN_AUGMENT
-        self.unimodular = unimodular
-        self._ifft = _pocketfft_umath.ifft
-        self._fft = _pocketfft_umath.fft
-        self._fct = np.reciprocal(np.sqrt(n, dtype=np.float64))
-        self.grad = np.empty(n, dtype=dtype)
-        self.residual = np.empty(n)
-        self._y = np.empty(n, dtype=complex)
-        self._ry = np.empty(n, dtype=complex)
-        self._r = np.empty(n)
-        self._penalty = np.empty(n)
-        self._tmp = np.empty(n)
-        self._work = np.empty(n, dtype=dtype)
-
-    def __call__(self, neurons: np.ndarray, scale: float, multipliers: np.ndarray) -> float:
-        y, r, tmp, penalty, residual, grad = (
-            self._y, self._r, self._tmp, self._penalty, self.residual, self.grad,
-        )
-        self._ifft(neurons, self._fct, out=y)
-        np.square(y.real, out=r)
-        np.square(y.imag, out=tmp)
-        np.add(r, tmp, out=r)
-        np.multiply(scale, self.target, out=tmp)
-        np.subtract(r, tmp, out=r)
-        np.multiply(r, y, out=self._ry)
-        self._fft(self._ry, self._fct, out=y)
-        if self.unimodular:
-            np.multiply(4.0, y, out=grad)
-            np.square(neurons.real, out=residual)
-            np.square(neurons.imag, out=tmp)
-            np.add(residual, tmp, out=residual)
+    def increments(neurons, scale, multipliers, residual) -> float:
+        ifft(neurons, fct, y)
+        square(y_flat, squares)
+        add(squares_real, squares_imag, r)
+        multiply(scale, target, tmp)
+        subtract(r, tmp, r)
+        multiply(r, y, ry)
+        fft(ry, fct, y)
+        if unimodular:
+            multiply(4.0, y, grad)
+            square(neurons.view(float), squares)
+            add(squares_real, squares_imag, residual)
         else:
-            np.multiply(4.0, y.real, out=grad)
-            np.square(neurons, out=residual)
-        np.subtract(residual, 1.0, out=residual)
-        np.multiply(self.gain, residual, out=penalty)
-        np.multiply(2.0, multipliers, out=tmp)
-        np.add(penalty, tmp, out=penalty)
-        np.multiply(penalty, neurons, out=self._work)
-        np.add(grad, self._work, out=grad)
-        np.multiply(r, self.target, out=tmp)
-        return 2.0 * float(tmp.sum())
+            multiply(4.0, y_real, grad)
+            square(neurons, residual)
+        subtract(residual, 1.0, residual)
+        multiply(gain, residual, penalty)
+        multiply(2.0, multipliers, tmp)
+        add(penalty, tmp, penalty)
+        multiply(penalty, neurons, work)
+        add(grad, work, grad)
+        multiply(r, target, tmp)
+        return 2.0 * float(add_reduce(tmp))
+
+    return increments, grad
 
 
 def _max_abs(x: np.ndarray) -> float:
@@ -294,14 +304,23 @@ def run_lpnn(
     magnitude. The trace records the worst modulus-constraint residual
     per step.
 
-    Each step runs in place through _LpnnKernel; unimodular neurons are
-    updated through their real view, which is the real-stacked update
-    component by component. Steps run in blocks of _LPNN_BLOCK with the
-    checks made once per block: a block whose every residual row reaches
-    1e-8 and whose every neuron stays within 1e6 can neither stop nor
-    diverge, and its row maxima are the trace. Any other block is rerun from
-    its start with the per-step checks, so the stop rule and DivergenceError
-    fire at the same step as in a plain step-by-step loop.
+    Each step runs through _lpnn_kernel's increments and an Euler add;
+    unimodular neurons are updated through their real view, which is the
+    real-stacked update component by component. Steps run in blocks of
+    _LPNN_BLOCK with the checks made once per block: a block whose every
+    residual row reaches 1e-8 and whose every neuron stays within 1e6 can
+    neither stop nor diverge, and its row maxima are the trace. Any other
+    block is rerun from its start with the per-step checks, so the stop rule
+    and DivergenceError fire at the same step as in a plain step-by-step
+    loop.
+
+    A block keeps every value it makes, so a step copies nothing. The
+    neurons live in rows of a (_LPNN_BLOCK + 1, n) buffer: step j reads row
+    j and writes its Euler add into row j + 1, so row 0, the block's start,
+    is also what a rerun restarts from. The kernel writes step j's
+    residuals into row j of the residual block. Each value is the one the
+    plain loop computes; only where it is stored differs. One closure makes
+    a step for both the block and the rerun.
     """
     validate_problem(p)
     if variant not in ("binary", "unimodular"):
@@ -310,69 +329,71 @@ def run_lpnn(
     target = lpnn_target_spectrum(p, bounds)
     rng = np.random.default_rng([p.seed, _LPNN_STREAM])
     unimodular = variant == "unimodular"
-    neurons = rng.standard_normal(2 * p.n if unimodular else p.n)
-    if unimodular:
-        neurons = _to_complex(neurons)
+    start = rng.standard_normal(2 * p.n if unimodular else p.n)
     scale = float(rng.standard_normal())
     multipliers = rng.standard_normal(p.n)
-    kernel = _LpnnKernel(target, unimodular)
+    increments, grad = _lpnn_kernel(target, unimodular)
+    grad = grad.view(float)
 
-    flat = neurons.view(float)
-    grad = kernel.grad.view(float)
-    residual = kernel.residual
-    move = np.empty_like(flat)
+    neuron_block = np.empty((_LPNN_BLOCK + 1, p.n), dtype=complex if unimodular else float)
+    flat_block = neuron_block.view(float)
+    neuron_block[0] = _to_complex(start) if unimodular else start
+    neuron_rows = list(neuron_block)
+    flat_rows = list(flat_block)
+    residual_block = np.empty((_LPNN_BLOCK, p.n))
+    residual_rows = list(residual_block)
+    move = np.empty(flat_block.shape[1])
     drift = np.empty(p.n)
+    add, multiply = np.add, np.multiply
+    neg_step = -step
 
-    def euler_step() -> float:
-        """Advance neurons, scale and multipliers by one step; return d_scale."""
+    def euler_step(j: int) -> float:
+        """Advance row j's neurons into row j + 1, and scale and multipliers; return d_scale."""
         nonlocal scale
-        d_scale = kernel(neurons, scale, multipliers)
-        np.multiply(grad, -step, out=move)  # bit for bit step * -grad
-        np.add(flat, move, out=flat)
+        residual = residual_rows[j]
+        d_scale = increments(neuron_rows[j], scale, multipliers, residual)
+        multiply(grad, neg_step, move)  # bit for bit step * -grad
+        add(flat_rows[j], move, flat_rows[j + 1])
         scale = scale + step * d_scale
-        np.multiply(step, residual, out=drift)
-        np.add(multipliers, drift, out=multipliers)
+        multiply(step, residual, drift)
+        add(multipliers, drift, multipliers)
         return d_scale
 
-    residual_rows = np.empty((_LPNN_BLOCK, p.n))
-    neuron_rows = np.empty((_LPNN_BLOCK, flat.shape[0]))
-    saved_neurons = np.empty_like(flat)
     saved_multipliers = np.empty_like(multipliers)
     trace = np.empty(max(max_iters, 0))
     iterations = 0
     converged = False
     while iterations < max_iters and not converged:
         steps = min(_LPNN_BLOCK, max_iters - iterations)
-        np.copyto(saved_neurons, flat)
         np.copyto(saved_multipliers, multipliers)
         saved_scale = scale
         # a block that overflows is rerun below, so its warnings would be spurious
         with np.errstate(over="ignore", invalid="ignore"):
             for j in range(steps):
-                euler_step()
-                residual_rows[j] = residual
-                neuron_rows[j] = flat
-        worst = np.abs(residual_rows[:steps]).max(axis=1)
+                euler_step(j)
+        worst = np.abs(residual_block[:steps]).max(axis=1)
         # NaN fails both comparisons, so a block with a NaN is rerun too
-        if np.all(worst >= 1e-8) and np.all(np.abs(neuron_rows[:steps]) <= 1e6):
+        if np.all(worst >= 1e-8) and np.all(np.abs(flat_block[1:steps + 1]) <= 1e6):
             trace[iterations:iterations + steps] = worst
             iterations += steps
+            np.copyto(flat_rows[0], flat_rows[steps])
             continue
-        np.copyto(flat, saved_neurons)
         np.copyto(multipliers, saved_multipliers)
         scale = saved_scale
-        for _ in range(steps):
+        for j in range(steps):
             iterations += 1
-            d_scale = euler_step()
-            worst_residual = _max_abs(residual)
+            d_scale = euler_step(j)
+            worst_residual = _max_abs(residual_rows[j])
             trace[iterations - 1] = worst_residual
-            if _max_abs(flat) > 1e6:
+            if _max_abs(flat_rows[j + 1]) > 1e6:
                 raise DivergenceError("neuron magnitude exceeded 1e6; reduce the step size")
             # the stop needs all three terms below 1e-8, so the gradient is read only then
             if worst_residual < 1e-8 and max(_max_abs(grad), abs(d_scale), worst_residual) < 1e-8:
                 converged = True
                 break
+        np.copyto(flat_rows[0], flat_rows[j + 1])
 
+    neurons = neuron_rows[0]
     if variant == "binary":
         seq = np.where(neurons >= 0.0, 1, -1).astype(np.int8)
     else:

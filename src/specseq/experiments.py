@@ -24,7 +24,7 @@ import numpy as np
 from . import baselines, oracle, rounding, sdp
 from ._version import __version__
 from .errors import DivergenceError, InfeasibleRelaxationError, NoFeasibleError
-from .problem import BandSpec, DesignProblem, ScoreKind, band_metrics, is_int_list
+from .problem import BandSpec, DesignProblem, ScoreKind, band_metrics, is_int_list, json_int
 
 #: reference length the published band layouts are given for
 _REFERENCE_N = 128
@@ -200,6 +200,8 @@ def default_config(
 
 def config_from_json_dict(data: dict) -> ExperimentConfig:
     """Build a config from a JSON object, filling unspecified parts with defaults."""
+    if not isinstance(data, dict):
+        raise ValueError(f"experiment config must be a JSON object: {data!r}")
     known = {f.name for f in fields(ExperimentConfig)} | {"paper_scale"}
     unknown = set(data) - known
     if unknown:
@@ -207,9 +209,10 @@ def config_from_json_dict(data: dict) -> ExperimentConfig:
     if "kind" not in data:
         raise ValueError("experiment config requires a 'kind' field")
     kind = ExperimentKind(data["kind"])
-    base = default_config(
-        kind, seed=int(data.get("seed", 0)), paper_scale=bool(data.get("paper_scale", False))
-    )
+    paper_scale = data.get("paper_scale", False)
+    if type(paper_scale) is not bool:
+        raise ValueError(f"field 'paper_scale' must be true or false: {paper_scale!r}")
+    base = default_config(kind, seed=json_int(data, "seed", 0), paper_scale=paper_scale)
     updates = {}
     if "problem" in data:
         updates["problem"] = DesignProblem.from_json_dict(data["problem"])
@@ -226,7 +229,7 @@ def config_from_json_dict(data: dict) -> ExperimentConfig:
         updates["sweep"] = tuple(tuple(v) if cells else v for v in sweep)
     for name in ("repetitions", "shape_max_iters", "lpnn_max_iters"):
         if name in data:
-            updates[name] = int(data[name])
+            updates[name] = json_int(data, name)
     return replace(base, **updates)
 
 

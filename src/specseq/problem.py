@@ -24,6 +24,22 @@ def is_int_list(value) -> bool:
     return isinstance(value, list) and all(type(v) is int for v in value)
 
 
+def json_int(data: dict, name: str, default=None) -> int:
+    """data[name], or default when absent, if it is a JSON integer (true and false are not)."""
+    value = data.get(name, default)
+    if type(value) is not int:
+        raise ValueError(f"field {name!r} must be an integer: {value!r}")
+    return value
+
+
+def json_number(data: dict, name: str) -> float:
+    """data[name] as a float, if it is a JSON number (true and false are not)."""
+    value = data[name]
+    if type(value) not in (int, float):
+        raise ValueError(f"field {name!r} must be a number: {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class BandSpec:
     """An ordered set of 0-based frequency bins."""
@@ -74,6 +90,8 @@ class DesignProblem:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "DesignProblem":
+        if not isinstance(data, dict):
+            raise ValueError(f"problem must be a JSON object: {data!r}")
         known = {"n", "message", "interferer", "alpha", "trials", "seed"}
         unknown = set(data) - known
         if unknown:
@@ -85,12 +103,12 @@ class DesignProblem:
             if not is_int_list(data[name]):
                 raise ValueError(f"problem field {name!r} must list integers: {data[name]!r}")
         return cls(
-            n=int(data["n"]),
+            n=json_int(data, "n"),
             message=BandSpec(tuple(data["message"])),
             interferer=BandSpec(tuple(data["interferer"])),
-            alpha=float(data["alpha"]),
-            trials=int(data.get("trials", 10000)),
-            seed=int(data.get("seed", 0)),
+            alpha=json_number(data, "alpha"),
+            trials=json_int(data, "trials", 10000),
+            seed=json_int(data, "seed", 0),
         )
 
     @classmethod

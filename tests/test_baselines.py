@@ -22,7 +22,7 @@ from specseq.baselines import (
     LPNN_AUGMENT,
     SHAPE_TOL,
     UNBOUNDED,
-    _LpnnKernel,
+    _lpnn_kernel,
     _to_complex,
     lpnn_target_spectrum,
 )
@@ -179,18 +179,19 @@ def assert_matches(actual, expected):
 
 
 def kernel_increments(neurons, scale, multipliers, p, target_spectrum):
-    """(d_neurons, d_scale, residual) from run_lpnn's kernel, baselines._LpnnKernel.
+    """(d_neurons, d_scale, residual) from run_lpnn's kernel, baselines._lpnn_kernel.
 
     Unimodular neurons are real-stacked [Re s; Im s], in and out. d_neurons
     and d_scale are the negative Lagrangian gradients; the modulus
     residuals are the multipliers' increments.
     """
     unimodular = neurons.shape[0] == 2 * p.n
-    kernel = _LpnnKernel(target_spectrum, unimodular)
-    d_scale = kernel(_to_complex(neurons) if unimodular else neurons, scale, multipliers)
-    grad = kernel.grad
+    increments, grad = _lpnn_kernel(target_spectrum, unimodular)
+    residual = np.empty(p.n)
+    d_scale = increments(_to_complex(neurons) if unimodular else neurons, scale, multipliers,
+                         residual)
     d_neurons = -np.concatenate([grad.real, grad.imag]) if unimodular else -grad
-    return d_neurons, d_scale, kernel.residual
+    return d_neurons, d_scale, residual
 
 
 def dense_lpnn_increments(neurons, scale, multipliers, p, target_spectrum):
@@ -496,8 +497,11 @@ class TestLpnnExactness:
             (make_problem(64, tuple(range(43, 53)), (31,), alpha=5.0), 300, 1e-3),
             # n=1 reaches the stop rule: every term of it is evaluated
             (make_problem(1, (0,), (), alpha=1.0, seed=2), 20000, 2e-2),
+            # the other two baseline layouts of the compare workload
+            (make_problem(64, tuple(range(39, 49)), tuple(range(1, 5)), alpha=5.0), 300, 1e-3),
+            (make_problem(64, tuple(range(22, 32)), tuple(range(51, 61)), alpha=5.0), 300, 1e-3),
         ],
-        ids=["n9", "baseline-64-w1", "n1-converges"],
+        ids=["n9", "baseline-64-w1", "n1-converges", "baseline-64-w4", "baseline-64-w10"],
     )
     @pytest.mark.parametrize("variant", ["binary", "unimodular"])
     def test_matches_plain_loop(self, p, max_iters, step, variant):
@@ -527,6 +531,32 @@ class TestLpnnExactness:
         assert out.sequence.dtype == seq.dtype and out.sequence.tobytes() == seq.tobytes()
         if max_iters == 0:
             assert out.iterations == 0 and out.trace.shape == (0,) and not out.converged
+
+    @pytest.mark.parametrize("variant", ["binary", "unimodular"])
+    def test_rerun_to_the_budget(self, variant):
+        """A block rerun for a residual below 1e-8 runs to the budget when the stop does not fire.
+
+        The step puts the n=1 neuron on the unit circle after one step, so the
+        second residual is about 0 while the gradient is not. The stop does
+        not fire, the run diverges only after 5 steps, and the block's step
+        by step rerun ends at the budget.
+        """
+        p = make_problem(1, (0,), (), alpha=1.0, seed=2)
+        target = lpnn_target_spectrum(p, shape_bounds_from_problem(p))
+        rng = np.random.default_rng([p.seed, _LPNN_STREAM])
+        neurons = rng.standard_normal(1 if variant == "binary" else 2)
+        scale = float(rng.standard_normal())
+        d_neurons = kernel_increments(neurons, scale, rng.standard_normal(1), p, target)[0]
+        c, d = complex(*neurons), complex(*d_neurons)
+        # the smallest positive root of |c + step * d|^2 = 1
+        a, b, k = abs(d) ** 2, 2 * (c.conjugate() * d).real, abs(c) ** 2 - 1
+        step = min(r for r in np.roots([a, b, k]).real if r > 0)
+        out = run_lpnn(p, variant, max_iters=5, step=step)
+        seq, trace, iterations, converged = replay_lpnn(p, variant, 5, step)
+        assert trace[1] < 1e-8 and not converged
+        assert out.trace.tobytes() == trace.tobytes()
+        assert out.iterations == iterations == 5 and not out.converged
+        assert out.sequence.dtype == seq.dtype and out.sequence.tobytes() == seq.tobytes()
 
     @pytest.mark.parametrize("variant", ["binary", "unimodular"])
     def test_divergence_at_the_same_step(self, variant):

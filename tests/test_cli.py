@@ -136,6 +136,34 @@ class TestMalformedConfig:
         self.assert_error(*run_cli(capsys, "design", str(path)), "'message'")
 
     @pytest.mark.parametrize(
+        "field, value", [("n", [16]), ("alpha", None), ("n", True)],
+        ids=["n-list", "alpha-null", "n-bool"],
+    )
+    def test_problem_scalar(self, tmp_path, capsys, field, value):
+        config = {"n": 16, "message": [1, 2], "interferer": [5], "alpha": 2.0, field: value}
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(config))
+        self.assert_error(*run_cli(capsys, "design", str(path)), repr(field))
+
+    @pytest.mark.parametrize(
+        "config, field",
+        [
+            ({"kind": "BetaDistribution", "repetitions": [5]}, "'repetitions'"),
+            ({"kind": "OracleComparison", "problem": 5}, "problem"),
+            ({"kind": "FeasibilityVsAlpha", "paper_scale": "false"}, "'paper_scale'"),
+            ([{"kind": "BetaDistribution"}], "experiment config"),
+        ],
+        ids=["repetitions-list", "problem-not-an-object", "paper-scale-string",
+             "config-not-an-object"],
+    )
+    def test_experiment_scalar(self, tmp_path, capsys, config, field):
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps(config))
+        code, out, err = run_cli(capsys, "experiment", str(path), "--jobs", "1",
+                                 "--output", str(tmp_path / "out.csv"))
+        self.assert_error(code, out, err, field)
+
+    @pytest.mark.parametrize(
         "kind, sweep",
         [
             ("BetaDistribution", [8]),
