@@ -36,7 +36,7 @@ SHAPE_TOL = 1e-10
 _SHAPE_STREAM = 101
 _LPNN_STREAM = 202
 
-#: LPNN steps run between checks; a block the checks may fire in is replayed step by step
+#: LPNN steps run between checks; each block keeps the rows its checks read
 _LPNN_BLOCK = 64
 
 
@@ -206,13 +206,13 @@ def _to_complex(t: np.ndarray) -> np.ndarray:
 def _lpnn_kernel(target: np.ndarray, unimodular: bool):
     """LPNN's increments for one problem, evaluated in buffers made once.
 
-    Returns ``(increments, grad)``. Neurons are a real n-vector (binary
-    variant) or a complex n-vector (unimodular): the real-stacked neurons
-    t = [Re s; Im s] of the unimodular formulation, whose rank-two real
-    blocks reduce to complex products with the DFT basis.
-    ``increments(neurons, scale, multipliers, residual)`` leaves the
-    Lagrangian gradient in ``grad`` (the neuron increment is its negative)
-    and the modulus residuals in ``residual``, and returns the scale
+    Neurons are a real n-vector (binary variant) or a complex n-vector
+    (unimodular): the real-stacked neurons t = [Re s; Im s] of the
+    unimodular formulation, whose rank-two real blocks reduce to complex
+    products with the DFT basis. ``increments(neurons, scale, multipliers,
+    residual, grad)`` writes the Lagrangian gradient into ``grad`` (the
+    neuron increment is its negative; complex for unimodular neurons) and
+    the modulus residuals into ``residual``, and returns the scale
     increment. Every ufunc writes into a buffer but takes its operands in
     the order of the plain expression ``4.0 * F ((|F^H c|^2 - scale *
     target) * F^H c) + (4 * LPNN_AUGMENT * (|c|^2 - 1) + 2 * multipliers) *
@@ -248,7 +248,6 @@ def _lpnn_kernel(target: np.ndarray, unimodular: bool):
     add_reduce = np.add.reduce
     fct = np.reciprocal(np.sqrt(n, dtype=np.float64))
     gain = 4.0 * LPNN_AUGMENT
-    grad = np.empty(n, dtype=complex if unimodular else float)
     y = np.empty(n, dtype=complex)
     y_flat, y_real = y.view(float), y.real
     ry = np.empty(n, dtype=complex)
@@ -257,9 +256,9 @@ def _lpnn_kernel(target: np.ndarray, unimodular: bool):
     r = np.empty(n)
     penalty = np.empty(n)
     tmp = np.empty(n)
-    work = np.empty_like(grad)
+    work = np.empty(n, dtype=complex if unimodular else float)
 
-    def increments(neurons, scale, multipliers, residual) -> float:
+    def increments(neurons, scale, multipliers, residual, grad) -> float:
         ifft(neurons, fct, y)
         square(y_flat, squares)
         add(squares_real, squares_imag, r)
@@ -283,11 +282,7 @@ def _lpnn_kernel(target: np.ndarray, unimodular: bool):
         multiply(r, target, tmp)
         return 2.0 * float(add_reduce(tmp))
 
-    return increments, grad
-
-
-def _max_abs(x: np.ndarray) -> float:
-    return max(x.max(), -x.min())
+    return increments
 
 
 def run_lpnn(
@@ -298,33 +293,28 @@ def run_lpnn(
 ) -> BaselineResult:
     """Euler dynamics on the augmented Lagrangian from a seeded random start.
 
-    The modulus penalty weight is LPNN_AUGMENT. Stops when the largest
-    increment falls below 1e-8 (converged) or after max_iters steps (not
-    converged); raises DivergenceError if any neuron passes 1e6 in
-    magnitude. The trace records the worst modulus-constraint residual
-    per step.
+    The modulus penalty weight is LPNN_AUGMENT and ``step`` must be finite
+    and positive. Stops when the largest increment falls below 1e-8
+    (converged) or after max_iters steps (not converged); raises
+    DivergenceError if any neuron passes 1e6 in magnitude. The trace
+    records the worst modulus-constraint residual per step.
 
     Each step runs through _lpnn_kernel's increments and an Euler add;
     unimodular neurons are updated through their real view, which is the
     real-stacked update component by component. Steps run in blocks of
-    _LPNN_BLOCK with the checks made once per block: a block whose every
-    residual row reaches 1e-8 and whose every neuron stays within 1e6 can
-    neither stop nor diverge, and its row maxima are the trace. Any other
-    block is rerun from its start with the per-step checks, so the stop rule
-    and DivergenceError fire at the same step as in a plain step-by-step
-    loop.
-
-    A block keeps every value it makes, so a step copies nothing. The
-    neurons live in rows of a (_LPNN_BLOCK + 1, n) buffer: step j reads row
-    j and writes its Euler add into row j + 1, so row 0, the block's start,
-    is also what a rerun restarts from. The kernel writes step j's
-    residuals into row j of the residual block. Each value is the one the
-    plain loop computes; only where it is stored differs. One closure makes
-    a step for both the block and the rerun.
+    _LPNN_BLOCK that keep every value they make: step j reads neuron row j
+    and writes its Euler add into row j + 1, and the kernel writes its
+    residuals and gradient into row j of their blocks. After a block, the
+    stop and divergence rules are whole-block comparisons over those rows,
+    and the first step where either holds ends the run, divergence first,
+    as in a plain step-by-step loop. NaN fails both comparisons, so a step
+    whose values are NaN neither stops nor diverges the run.
     """
     validate_problem(p)
     if variant not in ("binary", "unimodular"):
         raise ValueError(f"unknown variant {variant!r}")
+    if not (np.isfinite(step) and step > 0.0):
+        raise ValueError(f"step must be finite and positive, got {step!r}")
     bounds = shape_bounds_from_problem(p)
     target = lpnn_target_spectrum(p, bounds)
     rng = np.random.default_rng([p.seed, _LPNN_STREAM])
@@ -332,66 +322,58 @@ def run_lpnn(
     start = rng.standard_normal(2 * p.n if unimodular else p.n)
     scale = float(rng.standard_normal())
     multipliers = rng.standard_normal(p.n)
-    increments, grad = _lpnn_kernel(target, unimodular)
-    grad = grad.view(float)
+    increments = _lpnn_kernel(target, unimodular)
 
-    neuron_block = np.empty((_LPNN_BLOCK + 1, p.n), dtype=complex if unimodular else float)
+    dtype = complex if unimodular else float
+    neuron_block = np.empty((_LPNN_BLOCK + 1, p.n), dtype=dtype)
     flat_block = neuron_block.view(float)
     neuron_block[0] = _to_complex(start) if unimodular else start
     neuron_rows = list(neuron_block)
     flat_rows = list(flat_block)
     residual_block = np.empty((_LPNN_BLOCK, p.n))
     residual_rows = list(residual_block)
+    grad_block = np.empty((_LPNN_BLOCK, p.n), dtype=dtype)
+    grad_rows = list(grad_block)
+    flat_grad_block = grad_block.view(float)
+    flat_grad_rows = list(flat_grad_block)
+    d_scales = [0.0] * _LPNN_BLOCK
     move = np.empty(flat_block.shape[1])
     drift = np.empty(p.n)
     add, multiply = np.add, np.multiply
     neg_step = -step
 
-    def euler_step(j: int) -> float:
-        """Advance row j's neurons into row j + 1, and scale and multipliers; return d_scale."""
-        nonlocal scale
-        residual = residual_rows[j]
-        d_scale = increments(neuron_rows[j], scale, multipliers, residual)
-        multiply(grad, neg_step, move)  # bit for bit step * -grad
-        add(flat_rows[j], move, flat_rows[j + 1])
-        scale = scale + step * d_scale
-        multiply(step, residual, drift)
-        add(multipliers, drift, multipliers)
-        return d_scale
-
-    saved_multipliers = np.empty_like(multipliers)
     trace = np.empty(max(max_iters, 0))
     iterations = 0
     converged = False
     while iterations < max_iters and not converged:
         steps = min(_LPNN_BLOCK, max_iters - iterations)
-        np.copyto(saved_multipliers, multipliers)
-        saved_scale = scale
-        # a block that overflows is rerun below, so its warnings would be spurious
+        # the checks below find the first step that overflows; the warnings would say no more
         with np.errstate(over="ignore", invalid="ignore"):
             for j in range(steps):
-                euler_step(j)
+                residual = residual_rows[j]
+                d_scale = increments(neuron_rows[j], scale, multipliers, residual, grad_rows[j])
+                d_scales[j] = d_scale
+                multiply(flat_grad_rows[j], neg_step, move)  # bit for bit step * -grad
+                add(flat_rows[j], move, flat_rows[j + 1])
+                scale = scale + step * d_scale
+                multiply(step, residual, drift)
+                add(multipliers, drift, multipliers)
         worst = np.abs(residual_block[:steps]).max(axis=1)
-        # NaN fails both comparisons, so a block with a NaN is rerun too
-        if np.all(worst >= 1e-8) and np.all(np.abs(flat_block[1:steps + 1]) <= 1e6):
-            trace[iterations:iterations + steps] = worst
-            iterations += steps
-            np.copyto(flat_rows[0], flat_rows[steps])
-            continue
-        np.copyto(multipliers, saved_multipliers)
-        scale = saved_scale
-        for j in range(steps):
-            iterations += 1
-            d_scale = euler_step(j)
-            worst_residual = _max_abs(residual_rows[j])
-            trace[iterations - 1] = worst_residual
-            if _max_abs(flat_rows[j + 1]) > 1e6:
+        diverged = np.abs(flat_block[1:steps + 1]).max(axis=1) > 1e6
+        # the stop needs all three terms below 1e-8, so the other two are read only then
+        stopped = worst < 1e-8
+        if stopped.any():
+            stopped &= np.abs(d_scales[:steps]) < 1e-8
+            stopped &= np.abs(flat_grad_block[:steps]).max(axis=1) < 1e-8
+        ended = diverged | stopped
+        if ended.any():
+            steps = int(ended.argmax()) + 1
+            if diverged[steps - 1]:
                 raise DivergenceError("neuron magnitude exceeded 1e6; reduce the step size")
-            # the stop needs all three terms below 1e-8, so the gradient is read only then
-            if worst_residual < 1e-8 and max(_max_abs(grad), abs(d_scale), worst_residual) < 1e-8:
-                converged = True
-                break
-        np.copyto(flat_rows[0], flat_rows[j + 1])
+            converged = True
+        trace[iterations:iterations + steps] = worst[:steps]
+        iterations += steps
+        np.copyto(flat_rows[0], flat_rows[steps])
 
     neurons = neuron_rows[0]
     if variant == "binary":

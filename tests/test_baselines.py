@@ -7,6 +7,8 @@ from specseq import (
     BandSpec,
     DesignProblem,
     DivergenceError,
+    ZeroScaleError,
+    ZeroSpectrumError,
     metric_bundle,
     run_lpnn,
     run_shape,
@@ -169,6 +171,20 @@ class TestShapeSteps:
             new = shape_sequence_step(x, scale, "unimodular")
             assert objective_of(new, x, scale) <= objective_of(seq, x, scale) + 1e-9
 
+    @pytest.mark.parametrize(
+        "call, error",
+        [
+            (lambda z, x, bounds: shape_spectrum_step(z, 0.0j, bounds), ZeroScaleError),
+            (lambda z, x, bounds: shape_scale_step(z, np.zeros_like(x)), ZeroSpectrumError),
+        ],
+        ids=["spectrum-at-zero-scale", "scale-of-zero-spectrum"],
+    )
+    def test_degenerate_inputs_raise(self, call, error):
+        p = make_problem(8, (1,), (3,), alpha=2.0)
+        seq, x, _ = random_state(8, 9)
+        with pytest.raises(error):
+            call(analysis_of(seq), x, shape_bounds_from_problem(p))
+
 
 def assert_matches(actual, expected):
     """Agreement to 1e-12 relative to the larger of 1 and the largest expected entry."""
@@ -186,10 +202,11 @@ def kernel_increments(neurons, scale, multipliers, p, target_spectrum):
     residuals are the multipliers' increments.
     """
     unimodular = neurons.shape[0] == 2 * p.n
-    increments, grad = _lpnn_kernel(target_spectrum, unimodular)
+    increments = _lpnn_kernel(target_spectrum, unimodular)
     residual = np.empty(p.n)
+    grad = np.empty(p.n, dtype=complex if unimodular else float)
     d_scale = increments(_to_complex(neurons) if unimodular else neurons, scale, multipliers,
-                         residual)
+                         residual, grad)
     d_neurons = -np.concatenate([grad.real, grad.imag]) if unimodular else -grad
     return d_neurons, d_scale, residual
 
@@ -417,6 +434,13 @@ class TestRunLpnn:
             with pytest.raises(DivergenceError):
                 run_lpnn(p, variant, max_iters=2000, step=10.0)
 
+    @pytest.mark.parametrize("step", [float("nan"), float("inf"), 0.0, -1e-3])
+    @pytest.mark.parametrize("variant", ["binary", "unimodular"])
+    def test_step_must_be_finite_and_positive(self, step, variant):
+        p = make_problem(16, (2, 3), (6, 7), alpha=2.0, seed=17)
+        with pytest.raises(ValueError, match="step"):
+            run_lpnn(p, variant, max_iters=100, step=step)
+
     def test_deterministic(self):
         p = make_problem(12, (1, 2), (5,), alpha=2.0, seed=18)
         a = run_lpnn(p, "binary", max_iters=200)
@@ -511,7 +535,7 @@ class TestLpnnExactness:
         assert out.iterations == iterations and out.converged == converged
         assert converged == (p.n == 1)
         if converged:
-            # the stop fires inside a block, so the block's step-by-step rerun stops it
+            # the stop fires inside a block, so the block's first-event index ends the run
             assert iterations % _LPNN_BLOCK != 0
         assert out.sequence.dtype == seq.dtype and out.sequence.tobytes() == seq.tobytes()
         assert out.metrics == metric_bundle(p, seq)
@@ -534,12 +558,12 @@ class TestLpnnExactness:
 
     @pytest.mark.parametrize("variant", ["binary", "unimodular"])
     def test_rerun_to_the_budget(self, variant):
-        """A block rerun for a residual below 1e-8 runs to the budget when the stop does not fire.
+        """A residual below 1e-8 alone does not stop the run, which ends at the budget.
 
         The step puts the n=1 neuron on the unit circle after one step, so the
         second residual is about 0 while the gradient is not. The stop does
-        not fire, the run diverges only after 5 steps, and the block's step
-        by step rerun ends at the budget.
+        not fire, the run diverges only after 5 steps, and the block's checks
+        find no event before the budget.
         """
         p = make_problem(1, (0,), (), alpha=1.0, seed=2)
         target = lpnn_target_spectrum(p, shape_bounds_from_problem(p))
@@ -556,6 +580,42 @@ class TestLpnnExactness:
         assert trace[1] < 1e-8 and not converged
         assert out.trace.tobytes() == trace.tobytes()
         assert out.iterations == iterations == 5 and not out.converged
+        assert out.sequence.dtype == seq.dtype and out.sequence.tobytes() == seq.tobytes()
+
+    @pytest.mark.parametrize(
+        "step, diverged_at",
+        [(0.034897, _LPNN_BLOCK), (0.03486387959866221, _LPNN_BLOCK + 1)],
+        ids=["last-row", "first-row"],
+    )
+    def test_divergence_on_a_block_edge(self, step, diverged_at):
+        """The first diverging step is found on either side of a block boundary."""
+        p = make_problem(16, (2, 3), (6, 7), alpha=2.0, seed=17)
+        assert replay_lpnn(p, "binary", 200, step) == diverged_at
+        out = run_lpnn(p, "binary", max_iters=diverged_at - 1, step=step)
+        seq, trace, iterations, converged = replay_lpnn(p, "binary", diverged_at - 1, step)
+        assert out.trace.tobytes() == trace.tobytes()
+        assert out.iterations == iterations and not out.converged
+        assert out.sequence.tobytes() == seq.tobytes()
+        with pytest.raises(DivergenceError):
+            run_lpnn(p, "binary", max_iters=diverged_at, step=step)
+
+    @pytest.mark.parametrize(
+        "variant, step, stopped_at",
+        [
+            ("binary", 0.0201, 225 * _LPNN_BLOCK),
+            ("unimodular", 0.0169, 259 * _LPNN_BLOCK),
+            ("binary", 0.0161, 281 * _LPNN_BLOCK + 1),
+        ],
+        ids=["binary-last-row", "unimodular-last-row", "binary-first-row"],
+    )
+    def test_stop_on_a_block_edge(self, variant, step, stopped_at):
+        """The stop fires at the plain loop's step when that step is a block's last or first."""
+        p = make_problem(1, (0,), (), alpha=1.0, seed=2)
+        out = run_lpnn(p, variant, max_iters=30000, step=step)
+        seq, trace, iterations, converged = replay_lpnn(p, variant, 30000, step)
+        assert iterations == stopped_at and converged
+        assert out.trace.tobytes() == trace.tobytes()
+        assert out.iterations == iterations and out.converged
         assert out.sequence.dtype == seq.dtype and out.sequence.tobytes() == seq.tobytes()
 
     @pytest.mark.parametrize("variant", ["binary", "unimodular"])
