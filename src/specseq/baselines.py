@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError, ZeroScaleError, ZeroSpectrumError
-from .problem import DesignProblem, MetricBundle, metric_bundle, validate_problem
+from .problem import DesignProblem, MetricBundle, metric_bundle
 
 #: stands in for an unbounded upper magnitude; never binds since |F_i^H s| <= sqrt(n)
 UNBOUNDED = 1e6
@@ -69,7 +69,6 @@ def shape_bounds_from_problem(p: DesignProblem) -> ShapeBounds:
     band power cannot exceed alpha; message bins get a lower bound of 1;
     all other bins are unconstrained.
     """
-    validate_problem(p)
     upper = np.full(p.n, UNBOUNDED)
     lower = np.zeros(p.n)
     if len(p.interferer) > 0:
@@ -143,7 +142,6 @@ def run_shape(
     because every step is an exact block minimizer. The objective and the
     next cycle's spectrum and scale steps share one F^H s per sequence.
     """
-    validate_problem(p)
     bounds = shape_bounds_from_problem(p)
     rng = np.random.default_rng([p.seed, _SHAPE_STREAM])
     if variant == "binary":
@@ -310,7 +308,6 @@ def run_lpnn(
     as in a plain step-by-step loop. NaN fails both comparisons, so a step
     whose values are NaN neither stops nor diverges the run.
     """
-    validate_problem(p)
     if variant not in ("binary", "unimodular"):
         raise ValueError(f"unknown variant {variant!r}")
     if not (np.isfinite(step) and step > 0.0):

@@ -5,8 +5,10 @@ file. JSON output is strict: a non-finite number (a perfect notch's
 rejection ratio, beta when the relaxation nulls the interferer band) is
 written as the string "inf", "-inf" or "nan", the spelling of the CSV
 reports. All randomness flows from the config seed, overridable with
---seed; without either the seed is 0, never entropy. Exit codes: 0 on
-success, 2 when a design finds no feasible sequence, 1 on any error.
+--seed; without either the seed is 0, never entropy. A config must
+describe a valid problem before --seed, --alpha and --trials replace its
+fields. Exit codes: 0 on success, 2 when a design finds no feasible
+sequence, 1 on any error.
 """
 
 from __future__ import annotations
@@ -24,23 +26,19 @@ import numpy as np
 from . import baselines, experiments, oracle, rounding, sdp
 from ._version import __version__
 from .errors import InfeasibleRelaxationError, SpecseqError
-from .problem import DesignProblem, ScoreKind, sequence_line, validate_problem
+from .problem import DesignProblem, ScoreKind, sequence_line
 
 
 def _load_problem(args) -> DesignProblem:
     with open(args.config, "r", encoding="utf-8") as handle:
         data = json.load(handle)
     p = DesignProblem.from_json_dict(data)
-    overrides = {}
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "trials", None) is not None:
-        overrides["trials"] = args.trials
-    if getattr(args, "alpha", None) is not None:
-        overrides["alpha"] = args.alpha
-    if overrides:
-        p = replace(p, **overrides)
-    return validate_problem(p)
+    overrides = {
+        name: getattr(args, name)
+        for name in ("seed", "trials", "alpha")
+        if getattr(args, name, None) is not None
+    }
+    return replace(p, **overrides)
 
 
 def _strict(value):

@@ -67,6 +67,8 @@ class ExperimentConfig:
             raise ValueError("sweep grid must be nonempty")
         if self.repetitions < 1:
             raise ValueError("repetitions must be at least 1")
+        # the experiment seed keys every draw, the problem's rounding draws included
+        object.__setattr__(self, "problem", replace(self.problem, seed=self.seed))
 
 
 @dataclass
@@ -138,7 +140,6 @@ def default_config(
             interferer=scale_runs(_ALPHA_INTERFERER_RUNS, n),
             alpha=5.0,
             trials=trials,
-            seed=seed,
         )
         top = 10.0 if paper_scale else 5.0
         sweep = tuple(np.arange(0.5, top + 0.25, 0.5))
@@ -150,7 +151,6 @@ def default_config(
             interferer=_interferer_band_for_width(1, n),
             alpha=3.0,
             trials=trials,
-            seed=seed,
         )
         sweep = tuple(range(1, 21 if paper_scale else 11))
         return ExperimentConfig(kind, problem, sweep, 1, seed)
@@ -161,13 +161,10 @@ def default_config(
             interferer=scale_runs(_ALPHA_INTERFERER_RUNS, n),
             alpha=5.0,
             trials=1000000 if paper_scale else 10000,
-            seed=seed,
         )
         return ExperimentConfig(kind, problem, (problem.trials,), 1, seed)
     if kind is ExperimentKind.BETA_DISTRIBUTION:
-        problem = DesignProblem(
-            n=32, message=BandSpec((1,)), interferer=BandSpec((4,)), alpha=1.0, seed=seed
-        )
+        problem = DesignProblem(n=32, message=BandSpec((1,)), interferer=BandSpec((4,)), alpha=1.0)
         cells = ((32, 4, 4), (64, 8, 8)) + (((128, 12, 12),) if paper_scale else ())
         return ExperimentConfig(kind, problem, cells, 1000, seed)
     if kind is ExperimentKind.ORACLE_COMPARISON:
@@ -177,7 +174,6 @@ def default_config(
             interferer=BandSpec((3, 4)),
             alpha=4.0,
             trials=65536 if paper_scale else 4096,
-            seed=seed,
         )
         sweep = (
             (256, 1024, 4096, 16384, 65536) if paper_scale else (64, 256, 1024, 4096)
@@ -191,7 +187,6 @@ def default_config(
             interferer=BandSpec(tuple(range(30, 35))),
             alpha=5.0,
             trials=trials,
-            seed=seed,
         )
         reps = 10 if paper_scale else 20
         return ExperimentConfig(kind, problem, tuple(range(1, 11)), reps, seed)
@@ -433,8 +428,8 @@ def oracle_band_choices(n: int = 16):
     """All disjoint 2-bin message/interferer choices over the independent bins.
 
     For real sequences the spectrum is conjugate-symmetric, so only bins
-    1..n/2 carry independent magnitudes; choosing 2 of 8 for the message
-    and 2 of the remaining 6 for the interferer gives 420 layouts.
+    1..n/2 carry independent magnitudes; at n=16, choosing 2 of 8 for the
+    message and 2 of the remaining 6 for the interferer gives 420 layouts.
     """
     universe = tuple(range(1, n // 2 + 1))
     choices = []
@@ -460,9 +455,9 @@ def _oracle_job(args):
     None for a layout without a feasible sequence or relaxation; a length
     whose trial prefix holds no feasible trial maps to None.
     """
-    msg, intf, alpha, trials, seed, sweep = args
+    n, msg, intf, alpha, trials, seed, sweep = args
     p = DesignProblem(
-        n=16, message=BandSpec(msg), interferer=BandSpec(intf),
+        n=n, message=BandSpec(msg), interferer=BandSpec(intf),
         alpha=alpha, trials=trials, seed=seed,
     )
     try:
@@ -488,16 +483,20 @@ def _oracle_job(args):
 
 
 def _oracle_comparison(cfg: ExperimentConfig, jobs: int) -> list:
-    """Metric ratios of the randomized design against exhaustive optima at n=16."""
+    """Metric ratios of the randomized design against exhaustive optima at the config's n."""
+    n = cfg.problem.n
+    oracle.check_size(n)
     root = np.random.SeedSequence(cfg.seed)
-    choices = oracle_band_choices(16)
+    choices = oracle_band_choices(n)
+    if not choices:
+        raise ValueError(f"n={n} has fewer than the 4 independent bins two 2-bin bands need")
     if cfg.repetitions < len(choices):
         rng = np.random.default_rng(_child_seed(root, 0))
         picked = rng.choice(len(choices), size=cfg.repetitions, replace=False)
         choices = [choices[i] for i in sorted(picked)]
     trials = max(int(v) for v in cfg.sweep)
     args = [
-        (msg, intf, cfg.problem.alpha, trials, _child_seed(root, 1 + i), tuple(cfg.sweep))
+        (n, msg, intf, cfg.problem.alpha, trials, _child_seed(root, 1 + i), tuple(cfg.sweep))
         for i, (msg, intf) in enumerate(choices)
     ]
     results = _map_jobs(_oracle_job, args, jobs)

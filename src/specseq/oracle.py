@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NoFeasibleError, SizeLimitError
-from .problem import DesignProblem, ScoreKind, band_metrics, validate_problem
+from .problem import DesignProblem, ScoreKind, band_metrics
 
 DEFAULT_LIMIT = 24
 
@@ -45,14 +45,18 @@ def _signs(codes: np.ndarray, width: int) -> np.ndarray:
     return bits * 2.0 - 1.0
 
 
+def check_size(n: int) -> None:
+    """Raise SizeLimitError when n exceeds DEFAULT_LIMIT."""
+    if n > DEFAULT_LIMIT:
+        raise SizeLimitError(f"n={n} exceeds exhaustive-search limit {DEFAULT_LIMIT}")
+
+
 def _enumerate(p: DesignProblem):
     """Yield (block, band_metrics of block) over all sequences with s_0 = +1.
 
     The block array is reused between steps; copy any row kept.
     """
-    validate_problem(p)
-    if p.n > DEFAULT_LIMIT:
-        raise SizeLimitError(f"n={p.n} exceeds exhaustive-search limit {DEFAULT_LIMIT}")
+    check_size(p.n)
     low = min(p.n - 1, _BLOCK_BITS)
     high = p.n - 1 - low
     block = np.ones((1 << low, p.n))

@@ -9,7 +9,6 @@ block of sequences; metric_bundle reads its single-row case.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, fields
 from enum import Enum
@@ -66,7 +65,11 @@ class BandSpec:
 
 @dataclass(frozen=True)
 class DesignProblem:
-    """Problem data: length, bands, interferer tolerance, trial budget, seed."""
+    """Problem data: length, bands, interferer tolerance, trial budget, seed.
+
+    Checked by validate_problem when built, whether by the constructor,
+    dataclasses.replace or from_json_dict, so no stage checks it again.
+    """
 
     n: int
     message: BandSpec
@@ -74,6 +77,9 @@ class DesignProblem:
     alpha: float
     trials: int = 10000
     seed: int = 0
+
+    def __post_init__(self):
+        validate_problem(self)
 
     def to_json_dict(self) -> dict:
         return {
@@ -84,9 +90,6 @@ class DesignProblem:
             "trials": self.trials,
             "seed": self.seed,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "DesignProblem":
@@ -110,10 +113,6 @@ class DesignProblem:
             trials=json_int(data, "trials", 10000),
             seed=json_int(data, "seed", 0),
         )
-
-    @classmethod
-    def from_json(cls, text: str) -> "DesignProblem":
-        return cls.from_json_dict(json.loads(text))
 
 
 class ScoreKind(Enum):
@@ -165,6 +164,8 @@ class MetricBundle:
 
 def validate_problem(p: DesignProblem) -> DesignProblem:
     """Check all problem invariants and return the problem unchanged.
+
+    DesignProblem calls this when it is built, so callers need not.
 
     Raises OverlapError if the bands intersect, IndexError if any bin
     falls outside [0, n), EmptyMessageError if the message band is empty,
@@ -267,8 +268,6 @@ def band_metrics(p: DesignProblem, signs) -> BandMetrics:
     if rows.ndim != 2 or rows.shape[1] != p.n:
         raise LengthMismatchError(f"expected rows of length {p.n}, got shape {rows.shape}")
     n_m = len(p.message)
-    if n_m == 0:
-        raise EmptyMessageError("message band is empty")
     conj = build_partial_dft(p.n, p.message.indices + p.interferer.indices).conj()
     n_bins = conj.shape[1]
     basis = np.hstack([conj.real, conj.imag])

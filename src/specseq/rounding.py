@@ -31,7 +31,6 @@ from .problem import (
     band_metrics,
     build_partial_dft,
     metric_bundle,
-    validate_problem,
 )
 from .sdp import SdpSolution
 
@@ -118,7 +117,6 @@ def run_design(
     experiment harnesses); by default only the winner and summary
     statistics are kept.
     """
-    validate_problem(p)
     live = sol.factor[:, np.any(sol.factor != 0.0, axis=0)]
     factor_t = np.ascontiguousarray(live.T)
     rng = np.random.Generator(np.random.Philox(key=p.seed))

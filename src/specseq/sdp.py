@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleRelaxationError
-from .problem import BandSpec, DesignProblem, validate_problem
+from .problem import BandSpec, DesignProblem
 
 #: relative threshold on eigenvalues counted toward the numerical rank
 RANK_TOL = 1e-7
@@ -191,7 +191,6 @@ def solve_relaxation(p: DesignProblem) -> SdpSolution:
     Raises InfeasibleRelaxationError exactly when n * min_k b_k > alpha/2,
     that is when no unit-diagonal PSD matrix meets the halved bound.
     """
-    validate_problem(p)
     bound = p.alpha / 2.0
     a, b = _bin_weights(p.n, p.message), _bin_weights(p.n, p.interferer)
     q, lam = _spectrum(a, b, bound)

@@ -117,6 +117,18 @@ class TestDesign:
         assert code == 1
         assert "overlap" in err.lower()
 
+    def test_config_is_checked_before_overrides(self, tmp_path, capsys):
+        # the config describes the problem on its own; --trials does not rescue it
+        path = tmp_path / "zero-trials.json"
+        path.write_text(
+            json.dumps({"n": 16, "message": [2, 3], "interferer": [6, 7], "alpha": 2.0,
+                        "trials": 0})
+        )
+        code, out, err = run_cli(capsys, "design", str(path), "--trials", "5")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "trial count must be positive, got 0" in err
+
 
 class TestMalformedConfig:
     """A malformed config ends in one error line naming the field, and exit 1."""
@@ -290,7 +302,7 @@ class TestDumpSdp:
         run_cli(capsys, "dump-sdp", problem_config, "--output", str(out_path))
         from specseq import DesignProblem, solve_relaxation
 
-        p = DesignProblem.from_json(open(problem_config).read())
+        p = DesignProblem.from_json_dict(json.loads(open(problem_config).read()))
         sol = solve_relaxation(p)
         rows = [line.split(",") for line in out_path.read_text().strip().splitlines()]
         matrix = np.array([[float(v) for v in row] for row in rows])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import specseq.experiments as ex
-from specseq import BandSpec, DesignProblem
+from specseq import BandSpec, DesignProblem, SizeLimitError
 
 
 def small_alpha_config(seed=3):
@@ -72,6 +72,14 @@ class TestConfigParsing:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             ex.config_from_json_dict({"kind": "NotAThing"})
+
+    def test_experiment_seed_is_the_problem_seed(self):
+        problem = {"n": 32, "message": [6, 7, 10], "interferer": [2, 3, 13], "alpha": 1.0}
+        cfg = ex.config_from_json_dict(
+            {"kind": "FeasibilityVsAlpha", "seed": 4, "problem": {**problem, "seed": 9}}
+        )
+        assert cfg.problem.seed == 4
+        assert replace(cfg, seed=5).problem.seed == 5
 
     def test_empty_sweep_rejected(self):
         with pytest.raises(ValueError):
@@ -150,6 +158,23 @@ class TestFeasibilityExperiments:
         report = ex.run_experiment(replace(cfg, sweep=(2.0,)))
         assert report.default_filename() == "FeasibilityVsAlpha_9.csv"
 
+    def test_experiment_seed_reaches_the_rounding_draws(self):
+        # the problem names no seed of its own, so only the experiment seed
+        # can tell the two runs' rounding draws apart
+        problem = {"n": 32, "message": [6, 7, 10], "interferer": [2, 3, 13], "alpha": 1.0,
+                   "trials": 2000}
+        rates = [
+            stats_by_sweep(
+                ex.run_experiment(ex.config_from_json_dict(
+                    {"kind": "FeasibilityVsAlpha", "seed": seed, "problem": problem,
+                     "sweep": [1.0]}
+                )),
+                "rounded_feasible_rate",
+            )[1.0]
+            for seed in (1, 2)
+        ]
+        assert rates[0] != rates[1]
+
 
 class TestRatioHistogram:
     def test_histogram_counts_and_scalars(self):
@@ -206,11 +231,36 @@ class TestOracleComparison:
             for value, _ in stats_by_sweep(report, stat).values():
                 assert value <= 1.0 + 1e-9
 
+    def test_layouts_use_the_config_length(self):
+        cfg = ex.default_config(ex.ExperimentKind.ORACLE_COMPARISON, seed=13)
+        problem = DesignProblem(
+            n=12, message=BandSpec((1, 2)), interferer=BandSpec((3, 4)), alpha=4.0, trials=16
+        )
+        report = ex.run_experiment(replace(cfg, problem=problem, repetitions=420, sweep=(16,)))
+        assert report.metadata["n"] == 12
+        assert len(ex.oracle_band_choices(12)) == 90
+        assert stats_by_sweep(report, "n_configs")[None][0] == 90
+
+    def test_length_above_the_oracle_limit_is_rejected(self):
+        cfg = ex.default_config(ex.ExperimentKind.ORACLE_COMPARISON, seed=13)
+        problem = replace(cfg.problem, n=ex.oracle.DEFAULT_LIMIT + 2)
+        with pytest.raises(SizeLimitError):
+            ex.run_experiment(replace(cfg, problem=problem))
+
+    def test_length_without_a_layout_is_rejected(self):
+        cfg = ex.default_config(ex.ExperimentKind.ORACLE_COMPARISON, seed=13)
+        problem = DesignProblem(n=6, message=BandSpec((1,)), interferer=BandSpec((2,)), alpha=4.0)
+        with pytest.raises(ValueError, match="n=6 has fewer than the 4 independent bins"):
+            ex.run_experiment(replace(cfg, problem=problem))
+
 
 class TestBaselineComparison:
     def test_schema_and_values(self):
         cfg = ex.default_config(ex.ExperimentKind.BASELINE_COMPARISON, seed=11)
-        problem = replace(cfg.problem, n=32, trials=1500, message=BandSpec(tuple(range(10, 15))))
+        problem = replace(
+            cfg.problem, n=32, trials=1500, message=BandSpec(tuple(range(10, 15))),
+            interferer=BandSpec((20, 21)),
+        )
         cfg = replace(
             cfg, problem=problem, sweep=(2,), repetitions=2,
             shape_max_iters=300, lpnn_max_iters=300,

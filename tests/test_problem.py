@@ -1,6 +1,6 @@
 import json
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -83,6 +83,17 @@ class TestValidation:
     def test_negative_alpha_rejected(self):
         with pytest.raises(ValueError):
             validate_problem(make_problem(8, (1,), (2,), alpha=-1.0))
+
+    def test_replace_is_checked_when_built(self):
+        p = make_problem(8, (1,), (2,))
+        with pytest.raises(ValueError, match="tolerance must be nonnegative"):
+            replace(p, alpha=-1.0)
+        with pytest.raises(OverlapError):
+            replace(p, interferer=BandSpec((1,)))
+
+    def test_from_json_dict_is_checked_when_built(self):
+        with pytest.raises(IndexError, match="out of range for n=8"):
+            DesignProblem.from_json_dict({"n": 8, "message": [8], "interferer": [], "alpha": 1})
 
     def test_duplicate_bins_rejected(self):
         with pytest.raises(ValueError):
@@ -248,9 +259,9 @@ class TestBundleAndInvariants:
 class TestSerialization:
     def test_json_round_trip_field_names(self):
         p = make_problem(128, (25, 26), (10, 11), alpha=5.0, trials=1000, seed=42)
-        data = json.loads(p.to_json())
+        data = json.loads(json.dumps(p.to_json_dict()))
         assert set(data) == {"n", "message", "interferer", "alpha", "trials", "seed"}
-        assert DesignProblem.from_json(p.to_json()) == p
+        assert DesignProblem.from_json_dict(data) == p
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ValueError):
