@@ -138,9 +138,10 @@ def run_shape(
 
     Stops when the relative objective change drops below SHAPE_TOL or the
     complex scale reaches 0 (converged), or after max_iters cycles (not
-    converged). The objective trace is monotone non-increasing
-    because every step is an exact block minimizer. The objective and the
-    next cycle's spectrum and scale steps share one F^H s per sequence.
+    converged); max_iters must be at least 0. The objective trace is
+    monotone non-increasing because every step is an exact block
+    minimizer. The objective and the next cycle's spectrum and scale steps
+    share one F^H s per sequence.
     """
     bounds = shape_bounds_from_problem(p)
     rng = np.random.default_rng([p.seed, _SHAPE_STREAM])
@@ -150,6 +151,8 @@ def run_shape(
         seq = np.exp(2j * np.pi * rng.random(p.n))
     else:
         raise ValueError(f"unknown variant {variant!r}")
+    if max_iters < 0:
+        raise ValueError(f"max_iters must be at least 0, got {max_iters!r}")
 
     analysis = _analysis(seq)
     scale = 1.0 + 0.0j
@@ -217,19 +220,30 @@ def _lpnn_kernel(target: np.ndarray, unimodular: bool):
     c`` (the real part of its first term for binary neurons), so the
     results are bitwise those of evaluating it with temporaries.
 
-    At n=64 a step's time is its ufunc dispatches, not their arithmetic.
-    Three things cut them without changing a bit:
+    At n=64 a step's time is its ufunc dispatches, not their arithmetic,
+    and a dispatch costs about twice as much when it must convert a Python
+    scalar or cast an operand. So no ufunc here does either, save the
+    inverse FFT of binary neurons, whose float-to-complex cast costs what a
+    copy into a complex buffer would. The levers, none of which changes a
+    bit:
 
-    - Each squared modulus |z|^2 (|F^H c|^2, and |c|^2 for unimodular
-      neurons) is one ``np.square`` over the complex array's float view,
-      then one ``np.add`` of the view's even (real) and odd (imaginary)
-      halves: per entry the same two squares and one add as
-      ``z.real**2 + z.imag**2``, in one call fewer.
-    - The ufuncs, buffers and views are bound once, in the closure, and
-      every ufunc takes its output positionally, which skips keyword
-      parsing and leaves the arithmetic as it is.
-    - The scale increment's sum is ``np.add.reduce``: the pairwise sum that
-      ``ndarray.sum`` makes through it, without that Python wrapper.
+    - Constants, the FFT factor and the scale are 0-d arrays made once; the
+      scale is written into its box each step. A 0-d float64 holds the
+      double the Python float converts to, and unimodular neurons' 4 is the
+      complex ``4+0j`` the float converts to beside a complex operand.
+    - The real factors of complex products, r = |F^H c|^2 - scale * target
+      in ``r * y`` and the unimodular penalty in ``penalty * c``, are the
+      ``.real`` views of complex buffers whose imaginary part is +0.0 and
+      is never written: the operand numpy's float-to-complex cast builds.
+    - Each squared modulus |z|^2 is one ``np.square`` over the complex
+      array's float view, then one ``np.add`` of its even (real) and odd
+      (imaginary) halves: per entry the same two squares and one add as
+      ``z.real**2 + z.imag**2``.
+
+    The ufuncs, buffers and views are bound once, in the closure, and every
+    ufunc takes its output positionally, which skips keyword parsing. The
+    scale increment's sum is ``np.add.reduce``: the pairwise sum that
+    ``ndarray.sum`` makes through it, without that Python wrapper.
 
     The transforms call numpy's private ``numpy.fft._pocketfft_umath``
     gufuncs with the factor 1/sqrt(n) that ``np.fft`` computes for
@@ -244,38 +258,44 @@ def _lpnn_kernel(target: np.ndarray, unimodular: bool):
     ifft, fft = _pocketfft_umath.ifft, _pocketfft_umath.fft
     square, add, subtract, multiply = np.square, np.add, np.subtract, np.multiply
     add_reduce = np.add.reduce
-    fct = np.reciprocal(np.sqrt(n, dtype=np.float64))
-    gain = 4.0 * LPNN_AUGMENT
+    dtype = complex if unimodular else float
+    fct = np.array(np.reciprocal(np.sqrt(n, dtype=np.float64)))
+    four = np.array(4.0, dtype=dtype)
+    one, two, gain = np.array(1.0), np.array(2.0), np.array(4.0 * LPNN_AUGMENT)
+    box = np.array(0.0)
     y = np.empty(n, dtype=complex)
     y_flat, y_real = y.view(float), y.real
     ry = np.empty(n, dtype=complex)
     squares = np.empty(2 * n)
     squares_real, squares_imag = squares[0::2], squares[1::2]
-    r = np.empty(n)
-    penalty = np.empty(n)
+    r_c = np.zeros(n, dtype=complex)
+    r = r_c.real
+    penalty_c = np.zeros(n, dtype=dtype)
+    penalty = penalty_c.real
     tmp = np.empty(n)
-    work = np.empty(n, dtype=complex if unimodular else float)
+    work = np.empty(n, dtype=dtype)
 
     def increments(neurons, scale, multipliers, residual, grad) -> float:
+        box[()] = scale
         ifft(neurons, fct, y)
         square(y_flat, squares)
         add(squares_real, squares_imag, r)
-        multiply(scale, target, tmp)
+        multiply(box, target, tmp)
         subtract(r, tmp, r)
-        multiply(r, y, ry)
+        multiply(r_c, y, ry)
         fft(ry, fct, y)
         if unimodular:
-            multiply(4.0, y, grad)
+            multiply(four, y, grad)
             square(neurons.view(float), squares)
             add(squares_real, squares_imag, residual)
         else:
-            multiply(4.0, y_real, grad)
+            multiply(four, y_real, grad)
             square(neurons, residual)
-        subtract(residual, 1.0, residual)
+        subtract(residual, one, residual)
         multiply(gain, residual, penalty)
-        multiply(2.0, multipliers, tmp)
+        multiply(two, multipliers, tmp)
         add(penalty, tmp, penalty)
-        multiply(penalty, neurons, work)
+        multiply(penalty_c, neurons, work)
         add(grad, work, grad)
         multiply(r, target, tmp)
         return 2.0 * float(add_reduce(tmp))
@@ -291,55 +311,60 @@ def run_lpnn(
 ) -> BaselineResult:
     """Euler dynamics on the augmented Lagrangian from a seeded random start.
 
-    The modulus penalty weight is LPNN_AUGMENT and ``step`` must be finite
-    and positive. Stops when the largest increment falls below 1e-8
-    (converged) or after max_iters steps (not converged); raises
-    DivergenceError if any neuron passes 1e6 in magnitude. The trace
-    records the worst modulus-constraint residual per step.
+    The modulus penalty weight is LPNN_AUGMENT, ``step`` must be finite
+    and positive and ``max_iters`` at least 0. Stops when the largest
+    increment falls below 1e-8 (converged) or after max_iters steps (not
+    converged); raises DivergenceError if any neuron passes 1e6 in
+    magnitude. The trace records the worst modulus-constraint residual per
+    step.
 
-    Each step runs through _lpnn_kernel's increments and an Euler add;
-    unimodular neurons are updated through their real view, which is the
-    real-stacked update component by component. Steps run in blocks of
-    _LPNN_BLOCK that keep every value they make: step j reads neuron row j
-    and writes its Euler add into row j + 1, and the kernel writes its
-    residuals and gradient into row j of their blocks. After a block, the
-    stop and divergence rules are whole-block comparisons over those rows,
-    and the first step where either holds ends the run, divergence first,
-    as in a plain step-by-step loop. NaN fails both comparisons, so a step
-    whose values are NaN neither stops nor diverges the run.
+    Each step runs through _lpnn_kernel's increments and one Euler update
+    of neurons and multipliers together. A state row holds [neurons as
+    floats | multipliers] (unimodular neurons through their float view,
+    which is the real-stacked update component by component), and an
+    increment row holds [gradient as floats | residuals]. The update is one
+    multiply of the increment row by ``coef = [-step..., +step...]``, made
+    once, and one add into the next state row: bit for bit ``step * -grad``
+    and ``step * residual``, since a product does not depend on the order
+    of its factors. Steps run in blocks of _LPNN_BLOCK that keep every row
+    they make: step j reads state row j, writes increment row j and adds
+    into state row j + 1. After a block, the stop and divergence rules are
+    whole-block comparisons over those rows, and the first step where
+    either holds ends the run, divergence first, as in a plain
+    step-by-step loop. NaN fails both comparisons, so a step whose values
+    are NaN neither stops nor diverges the run. The block's last state row,
+    multipliers included, becomes the next block's first.
     """
     if variant not in ("binary", "unimodular"):
         raise ValueError(f"unknown variant {variant!r}")
     if not (np.isfinite(step) and step > 0.0):
         raise ValueError(f"step must be finite and positive, got {step!r}")
+    if max_iters < 0:
+        raise ValueError(f"max_iters must be at least 0, got {max_iters!r}")
     bounds = shape_bounds_from_problem(p)
     target = lpnn_target_spectrum(p, bounds)
     rng = np.random.default_rng([p.seed, _LPNN_STREAM])
     unimodular = variant == "unimodular"
     start = rng.standard_normal(2 * p.n if unimodular else p.n)
     scale = float(rng.standard_normal())
-    multipliers = rng.standard_normal(p.n)
     increments = _lpnn_kernel(target, unimodular)
 
+    # m neuron floats, then n multipliers (state) or n residuals (increments)
+    m = 2 * p.n if unimodular else p.n
+    state_block = np.empty((_LPNN_BLOCK + 1, m + p.n))
+    inc_block = np.empty((_LPNN_BLOCK, m + p.n))
+    state_rows, inc_rows = list(state_block), list(inc_block)
     dtype = complex if unimodular else float
-    neuron_block = np.empty((_LPNN_BLOCK + 1, p.n), dtype=dtype)
-    flat_block = neuron_block.view(float)
-    neuron_block[0] = _to_complex(start) if unimodular else start
-    neuron_rows = list(neuron_block)
-    flat_rows = list(flat_block)
-    residual_block = np.empty((_LPNN_BLOCK, p.n))
-    residual_rows = list(residual_block)
-    grad_block = np.empty((_LPNN_BLOCK, p.n), dtype=dtype)
-    grad_rows = list(grad_block)
-    flat_grad_block = grad_block.view(float)
-    flat_grad_rows = list(flat_grad_block)
+    neuron_rows, multiplier_rows = list(state_block[:, :m].view(dtype)), list(state_block[:, m:])
+    grad_rows, residual_rows = list(inc_block[:, :m].view(dtype)), list(inc_block[:, m:])
+    neuron_rows[0][:] = _to_complex(start) if unimodular else start
+    multiplier_rows[0][:] = rng.standard_normal(p.n)
+    coef = np.concatenate([np.full(m, -step), np.full(p.n, step)])
     d_scales = [0.0] * _LPNN_BLOCK
-    move = np.empty(flat_block.shape[1])
-    drift = np.empty(p.n)
+    move = np.empty(m + p.n)
     add, multiply = np.add, np.multiply
-    neg_step = -step
 
-    trace = np.empty(max(max_iters, 0))
+    trace = np.empty(max_iters)
     iterations = 0
     converged = False
     while iterations < max_iters and not converged:
@@ -347,21 +372,20 @@ def run_lpnn(
         # the checks below find the first step that overflows; the warnings would say no more
         with np.errstate(over="ignore", invalid="ignore"):
             for j in range(steps):
-                residual = residual_rows[j]
-                d_scale = increments(neuron_rows[j], scale, multipliers, residual, grad_rows[j])
+                d_scale = increments(
+                    neuron_rows[j], scale, multiplier_rows[j], residual_rows[j], grad_rows[j]
+                )
                 d_scales[j] = d_scale
-                multiply(flat_grad_rows[j], neg_step, move)  # bit for bit step * -grad
-                add(flat_rows[j], move, flat_rows[j + 1])
+                multiply(inc_rows[j], coef, move)
+                add(state_rows[j], move, state_rows[j + 1])
                 scale = scale + step * d_scale
-                multiply(step, residual, drift)
-                add(multipliers, drift, multipliers)
-        worst = np.abs(residual_block[:steps]).max(axis=1)
-        diverged = np.abs(flat_block[1:steps + 1]).max(axis=1) > 1e6
+        worst = np.abs(inc_block[:steps, m:]).max(axis=1)
+        diverged = np.abs(state_block[1:steps + 1, :m]).max(axis=1) > 1e6
         # the stop needs all three terms below 1e-8, so the other two are read only then
         stopped = worst < 1e-8
         if stopped.any():
             stopped &= np.abs(d_scales[:steps]) < 1e-8
-            stopped &= np.abs(flat_grad_block[:steps]).max(axis=1) < 1e-8
+            stopped &= np.abs(inc_block[:steps, :m]).max(axis=1) < 1e-8
         ended = diverged | stopped
         if ended.any():
             steps = int(ended.argmax()) + 1
@@ -370,7 +394,7 @@ def run_lpnn(
             converged = True
         trace[iterations:iterations + steps] = worst[:steps]
         iterations += steps
-        np.copyto(flat_rows[0], flat_rows[steps])
+        np.copyto(state_rows[0], state_rows[steps])
 
     neurons = neuron_rows[0]
     if variant == "binary":

@@ -67,6 +67,9 @@ class ExperimentConfig:
             raise ValueError("sweep grid must be nonempty")
         if self.repetitions < 1:
             raise ValueError("repetitions must be at least 1")
+        for name in ("shape_max_iters", "lpnn_max_iters"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be at least 0, got {getattr(self, name)}")
         # the experiment seed keys every draw, the problem's rounding draws included
         object.__setattr__(self, "problem", replace(self.problem, seed=self.seed))
 
@@ -536,6 +539,13 @@ def _random_disjoint_bands(n, message_width, interferer_width, rng):
 
 
 def _baseline_job(args):
+    """Every method on one random layout at the sweep's band width.
+
+    Reads only the config problem's n, message width, alpha and trials;
+    the bands and the seed are drawn here. The problem's own bins are never
+    read, but they must still be in range, since a problem is checked when
+    it is built.
+    """
     cfg, width, seed = args
     rng = np.random.default_rng(seed)
     msg, intf = _random_disjoint_bands(cfg.problem.n, len(cfg.problem.message), width, rng)

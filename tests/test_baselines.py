@@ -331,6 +331,12 @@ class TestRunShape:
             values.append(objective_of(seq, spectrum, scale))
         assert values[-1] <= values[0]
 
+    @pytest.mark.parametrize("variant", ["binary", "unimodular"])
+    def test_negative_budget_rejected(self, variant):
+        p = make_problem(16, (2, 3), (6, 7), alpha=2.0, seed=11)
+        with pytest.raises(ValueError, match="max_iters"):
+            run_shape(p, variant, max_iters=-1)
+
     def test_deterministic(self):
         p = make_problem(12, (1, 2), (5,), alpha=2.0, seed=9)
         a = run_shape(p, "binary", max_iters=100)
@@ -395,6 +401,43 @@ class TestLpnnIncrements:
         assert np.abs(residual).max() <= 1e-8
 
 
+class TestKernelOnRowViews:
+    """The kernel reads and writes views into run_lpnn's rows as it does standalone arrays."""
+
+    @pytest.mark.parametrize("n", [9, 64])
+    @pytest.mark.parametrize("variant", ["binary", "unimodular"])
+    def test_row_views_match_standalone_arrays(self, n, variant):
+        unimodular = variant == "unimodular"
+        p = make_problem(9, (1, 2), (4, 6)) if n == 9 else make_problem(
+            64, tuple(range(43, 53)), (31,), alpha=5.0
+        )
+        target = lpnn_target_spectrum(p, shape_bounds_from_problem(p))
+        rng = np.random.default_rng(60 + n)
+        neurons = _to_complex(rng.standard_normal(2 * n)) if unimodular else rng.standard_normal(n)
+        scale = float(rng.standard_normal())
+        multipliers = rng.standard_normal(n)
+        m, dtype = (2 * n, complex) if unimodular else (n, float)
+
+        # row 1 of (2, m + n) blocks: at n=9 a unimodular row holds 27 floats, so
+        # its complex view starts 8 bytes off a 16-byte boundary
+        state, inc = np.zeros((2, m + n)), np.zeros((2, m + n))
+        row_neurons, row_multipliers = state[1, :m].view(dtype), state[1, m:]
+        row_grad, row_residual = inc[1, :m].view(dtype), inc[1, m:]
+        row_neurons[:], row_multipliers[:] = neurons, multipliers
+        if n == 9 and unimodular:
+            assert row_neurons.ctypes.data % 16 == 8
+        row_d_scale = _lpnn_kernel(target, unimodular)(
+            row_neurons, scale, row_multipliers, row_residual, row_grad
+        )
+
+        grad, residual = np.empty(n, dtype=dtype), np.empty(n)
+        d_scale = _lpnn_kernel(target, unimodular)(neurons, scale, multipliers, residual, grad)
+        assert row_grad.tobytes() == grad.tobytes()
+        assert row_residual.tobytes() == residual.tobytes()
+        assert row_d_scale.hex() == d_scale.hex()
+        assert row_multipliers.tobytes() == multipliers.tobytes()
+
+
 class TestRunLpnn:
     def test_binary_output_values(self):
         p = make_problem(16, (2, 3), (6, 7), alpha=2.0, seed=14)
@@ -440,6 +483,12 @@ class TestRunLpnn:
         p = make_problem(16, (2, 3), (6, 7), alpha=2.0, seed=17)
         with pytest.raises(ValueError, match="step"):
             run_lpnn(p, variant, max_iters=100, step=step)
+
+    @pytest.mark.parametrize("variant", ["binary", "unimodular"])
+    def test_negative_budget_rejected(self, variant):
+        p = make_problem(16, (2, 3), (6, 7), alpha=2.0, seed=17)
+        with pytest.raises(ValueError, match="max_iters"):
+            run_lpnn(p, variant, max_iters=-5)
 
     def test_deterministic(self):
         p = make_problem(12, (1, 2), (5,), alpha=2.0, seed=18)

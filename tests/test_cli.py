@@ -230,6 +230,16 @@ class TestBaselineCommands:
         data = json.loads(out)
         assert set(np.unique(data["sequence"])) <= {-1, 1}
 
+    @pytest.mark.parametrize(
+        "command, flag", [("shape", "--shape-max-iters"), ("lpnn", "--lpnn-max-iters")]
+    )
+    @pytest.mark.parametrize("variant", ["binary", "unimodular"])
+    def test_negative_budget_exits_1(self, problem_config, capsys, command, flag, variant):
+        code, out, err = run_cli(capsys, command, problem_config, "--variant", variant, flag, "-1")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "max_iters must be at least 0, got -1" in err
+
 
 class TestExperimentCommand:
     def test_writes_named_csv(self, tmp_path, capsys, monkeypatch):

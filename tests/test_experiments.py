@@ -81,6 +81,13 @@ class TestConfigParsing:
         assert cfg.problem.seed == 4
         assert replace(cfg, seed=5).problem.seed == 5
 
+    @pytest.mark.parametrize("name", ["shape_max_iters", "lpnn_max_iters"])
+    def test_negative_iteration_budget_rejected(self, name):
+        with pytest.raises(ValueError, match=name):
+            ex.config_from_json_dict({"kind": "BaselineComparison", name: -1})
+        cfg = ex.config_from_json_dict({"kind": "BaselineComparison", name: 0})
+        assert getattr(cfg, name) == 0
+
     def test_empty_sweep_rejected(self):
         with pytest.raises(ValueError):
             ex.config_from_json_dict({"kind": "FeasibilityVsAlpha", "sweep": []})
