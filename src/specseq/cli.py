@@ -212,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--paper-scale", action="store_true", help="full-scale configuration")
     sp.add_argument("--output", default=None, help="CSV path (default <kind>_<seed>.csv)")
     sp.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                    help="worker process bound (default: available cores)")
+                    help="worker process bound, at least 1 (default: available cores)")
     sp.set_defaults(func=cmd_experiment)
 
     sp = sub.add_parser("dump-sdp", help="solve the relaxation and dump the matrix as CSV")

@@ -276,14 +276,23 @@ def _mean_se(values) -> tuple:
 
 
 def _uniform_metrics(p: DesignProblem, count: int, rng) -> tuple:
-    """Message powers and feasibility of `count` uniform +-1 sequences."""
-    f, feasible = [], []
-    for done in range(0, count, 65536):
-        signs = rng.integers(0, 2, size=(min(65536, count - done), p.n)) * 2.0 - 1.0
+    """Message powers and feasibility of `count` uniform +-1 sequences.
+
+    Each block's signs go into one float array made once, as in
+    rounding.run_design; the draws stay int64, whose stream they are.
+    """
+    block = 65536
+    f = np.empty(count)
+    feasible = np.empty(count, dtype=bool)
+    buffer = np.empty((min(block, count), p.n))
+    for done in range(0, count, block):
+        signs = buffer[: min(block, count - done)]
+        np.multiply(rng.integers(0, 2, size=signs.shape), 2.0, out=signs)
+        np.subtract(signs, 1.0, out=signs)
         metrics = band_metrics(p, signs)
-        f.append(metrics.message_power)
-        feasible.append(metrics.feasible)
-    return np.concatenate(f), np.concatenate(feasible)
+        f[done : done + len(signs)] = metrics.message_power
+        feasible[done : done + len(signs)] = metrics.feasible
+    return f, feasible
 
 
 # ----------------------------------------------------------------------
@@ -654,7 +663,12 @@ _HARNESSES = {
 
 
 def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
-    """Run the config's harness; wrap its rows with the config echo and the kind's columns."""
+    """Run the config's harness; wrap its rows with the config echo and the kind's columns.
+
+    jobs bounds the worker processes and must be at least 1.
+    """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     baseline = cfg.kind is ExperimentKind.BASELINE_COMPARISON
     columns = _BASELINE_COLUMNS if baseline else _STAT_COLUMNS
     return ExperimentReport(cfg.kind, _metadata(cfg), columns, _HARNESSES[cfg.kind](cfg, jobs))

@@ -276,13 +276,18 @@ def band_metrics(p: DesignProblem, signs) -> BandMetrics:
         y_re, y_im = y[: len(rows)], y[len(rows) :]
         re = y_re[:, :n_bins] - y_im[:, n_bins:]
         im = y_re[:, n_bins:] + y_im[:, :n_bins]
+        sq = re**2 + im**2
     else:
         # numpy hands a lone row to gemv, which sums in another order than
         # the gemm that multiplies a block; a lone row goes in as a block
         # of two so that metric_bundle scores like the blocks of run_design
         y = (np.vstack([rows, rows]) if len(rows) == 1 else rows) @ basis
-        re, im = y[: len(rows), :n_bins], y[: len(rows), n_bins:]
-    sq = re**2 + im**2
+        # the product is this call's own, so it is squared in place: x**2
+        # is np.square, so the bits are those of re**2 + im**2 without
+        # two more block-sized arrays
+        np.square(y, out=y)
+        sq = y[: len(rows), :n_bins] + y[: len(rows), n_bins:]
+        del y
     # band extremes reduce over a bins-major copy, whose rows are long and
     # contiguous, and take the root after: a correctly rounded sqrt is
     # monotone, so this equals the extreme of the roots bit for bit. The

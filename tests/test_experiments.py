@@ -318,6 +318,13 @@ class TestWorkerParallelism:
         assert len(cfg.sweep) >= 2
         assert ex.run_experiment(cfg, jobs=2).rows == ex.run_experiment(cfg, jobs=1).rows
 
+    @pytest.mark.parametrize("jobs", [0, -2])
+    def test_jobs_below_one_rejected(self, jobs):
+        cfg = ex.default_config(ex.ExperimentKind.BETA_DISTRIBUTION, seed=5)
+        cfg = replace(cfg, sweep=((16, 2, 2),), repetitions=10)
+        with pytest.raises(ValueError, match=f"jobs must be at least 1, got {jobs}"):
+            ex.run_experiment(cfg, jobs=jobs)
+
     def test_pool_has_no_more_workers_than_jobs(self, monkeypatch):
         import concurrent.futures
 

@@ -411,6 +411,19 @@ def assert_bitwise(actual, expected):
     assert a.tobytes() == b.tobytes()
 
 
+class TestBandMetricsLeavesInput:
+    def test_input_bytes_unchanged(self):
+        # band_metrics squares its own product in place, never its input
+        p = make_problem(64, tuple(range(10, 20)), (30, 31), alpha=2.0)
+        rng = np.random.default_rng(3)
+        block = rng.integers(0, 2, (40, 64)) * 2.0 - 1.0
+        unimodular = np.exp(2j * np.pi * rng.random((40, 64)))
+        for rows in (block, block[:1].copy(), unimodular):
+            before = rows.tobytes()
+            band_metrics(p, rows)
+            assert rows.tobytes() == before
+
+
 class TestBandMetricsExactness:
     # bands wider than 8 bins: there a sum in another order changes bits
     @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -307,6 +308,66 @@ class TestRunDesign:
                 flipped = cand.copy()
                 flipped[i] = -flipped[i]
                 assert abs(metric_bundle(p, flipped).interferer_power - g0) <= 4 * k + 1e-9
+
+
+def bins(*runs):
+    return tuple(k for start, width in runs for k in range(start, start + width))
+
+
+def traced_peak(p, sol, retain):
+    """Bytes a run_design call holds at its peak, beyond what was live before."""
+    run_design(p, sol, retain=retain)  # first-call allocations are not the working set
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        run_design(p, sol, retain=retain)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+class TestWorkingMemory:
+    @pytest.mark.parametrize("n, message, interferer, trials, retain, bound", [
+        # one signs array, the mask and band_metrics' product and squares:
+        # 1.72 arrays; a projection, a mask and a second signs array at
+        # once took 1.99
+        (256, bins((50, 12), (80, 12)), bins((20, 12), (100, 12)), 10000, False, 1.9),
+        # full-length columns filled in place: 2.17 arrays; per-chunk
+        # columns joined by a copy took 2.64
+        (64, bins((12, 3), (20, 3)), bins((5, 3), (25, 3)), 100000, True, 2.4),
+    ], ids=["n256", "n64-retain"])
+    def test_peak_within_budget(self, n, message, interferer, trials, retain, bound):
+        # in units of one chunk's signs, a (rows, n) float64 array
+        p = make_problem(n, message, interferer, alpha=5.0, trials=trials)
+        sol = solve_relaxation(p)
+        unit = min(rounding._CHUNK, trials) * n * 8
+        assert traced_peak(p, sol, retain) <= bound * unit
+
+    def test_winner_is_its_replayed_trial(self, monkeypatch):
+        # every chunk's signs are written into one array; the winner must be
+        # a copy of its trial's signs, not a row the next chunk overwrites
+        monkeypatch.setattr(rounding, "_CHUNK", 7)
+        p = make_problem(64, README_MESSAGE, README_INTERFERER, alpha=5.0, trials=300)
+        sol = solve_relaxation(p)
+        factor_t = np.ascontiguousarray(sol.factor[:, np.any(sol.factor != 0.0, axis=0)].T)
+        early = 0
+        for seed in range(10):
+            rng = np.random.Generator(np.random.Philox(key=seed))
+            v = rng.standard_normal((p.trials, factor_t.shape[0]))
+            for score in ScoreKind:
+                res = run_design(replace(p, seed=seed), sol, score=score)
+                i = res.best.trial_index
+                start = i - i % 7
+                # the winner's chunk, projected as one block like run_design does
+                w = v[start : start + 7] @ factor_t
+                replayed = np.where(w[i - start] >= 0.0, 1, -1).astype(np.int8)
+                assert_bitwise(res.best.sequence, replayed)
+                early += start + 7 < p.trials
+        assert early > 0
 
 
 class TestQuantizedEigenvector:
