@@ -1,16 +1,7 @@
 """Spectrally shaped binary sequence design via convex relaxation and randomized rounding."""
 
 from ._version import __version__
-from .baselines import (
-    BaselineResult,
-    ShapeBounds,
-    run_lpnn,
-    run_shape,
-    shape_bounds_from_problem,
-    shape_scale_step,
-    shape_sequence_step,
-    shape_spectrum_step,
-)
+from .baselines import BaselineResult, run_lpnn, run_shape
 from .errors import (
     DivergenceError,
     EmptyInterfererError,
@@ -22,8 +13,6 @@ from .errors import (
     RankZeroError,
     SizeLimitError,
     SpecseqError,
-    ZeroScaleError,
-    ZeroSpectrumError,
 )
 from .experiments import (
     ExperimentConfig,
@@ -59,14 +48,11 @@ from .sdp import SdpSolution, solve_relaxation
 __all__ = [
     "__version__",
     # SHAPE and LPNN baselines
-    "BaselineResult", "ShapeBounds", "run_lpnn", "run_shape",
-    "shape_bounds_from_problem", "shape_scale_step", "shape_sequence_step",
-    "shape_spectrum_step",
+    "BaselineResult", "run_lpnn", "run_shape",
     # errors
     "DivergenceError", "EmptyInterfererError", "EmptyMessageError",
     "InfeasibleRelaxationError", "LengthMismatchError", "NoFeasibleError",
     "OverlapError", "RankZeroError", "SizeLimitError", "SpecseqError",
-    "ZeroScaleError", "ZeroSpectrumError",
     # experiment harnesses
     "ExperimentConfig", "ExperimentKind", "ExperimentReport", "default_config",
     "run_experiment",

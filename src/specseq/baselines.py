@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError, ZeroScaleError, ZeroSpectrumError
+from .errors import DivergenceError
 from .problem import DesignProblem, MetricBundle, metric_bundle
 
 #: stands in for an unbounded upper magnitude; never binds since |F_i^H s| <= sqrt(n)
@@ -41,18 +41,6 @@ _LPNN_BLOCK = 64
 
 
 @dataclass(frozen=True)
-class ShapeBounds:
-    """Per-bin magnitude bounds: lower[i] <= |x_i| <= upper[i]."""
-
-    upper: np.ndarray
-    lower: np.ndarray
-
-    def __post_init__(self):
-        if np.any(self.lower > self.upper):
-            raise ValueError("lower bounds exceed upper bounds")
-
-
-@dataclass(frozen=True)
 class BaselineResult:
     sequence: np.ndarray
     metrics: MetricBundle
@@ -62,19 +50,20 @@ class BaselineResult:
     converged: bool
 
 
-def shape_bounds_from_problem(p: DesignProblem) -> ShapeBounds:
-    """Map a design problem to spectrum magnitude bounds.
+def _shape_bounds(p: DesignProblem) -> tuple:
+    """Per-bin magnitude bounds (lower, upper) on SHAPE's spectrum.
 
     Interferer bins get an upper bound sqrt(alpha / |interferer|) so the
     band power cannot exceed alpha; message bins get a lower bound of 1;
-    all other bins are unconstrained.
+    all other bins are unconstrained. The bands are disjoint and alpha is
+    nonnegative, so lower <= upper at every bin.
     """
     upper = np.full(p.n, UNBOUNDED)
     lower = np.zeros(p.n)
     if len(p.interferer) > 0:
         upper[p.interferer.as_array()] = np.sqrt(p.alpha / len(p.interferer))
     lower[p.message.as_array()] = 1.0
-    return ShapeBounds(upper=upper, lower=lower)
+    return lower, upper
 
 
 def _analysis(s: np.ndarray) -> np.ndarray:
@@ -98,35 +87,35 @@ def _phase(z: np.ndarray) -> np.ndarray:
     return np.where(mag == 0.0, 1.0 + 0.0j, z / np.where(mag == 0.0, 1.0, mag))
 
 
-def shape_spectrum_step(analysis: np.ndarray, scale: complex, bounds: ShapeBounds) -> np.ndarray:
+def _spectrum_step(
+    analysis: np.ndarray, scale: complex, lower: np.ndarray, upper: np.ndarray
+) -> np.ndarray:
     """Exact minimizer over the spectrum: radially clip analysis / scale per bin."""
-    if scale == 0:
-        raise ZeroScaleError("scale factor is zero")
     z = analysis / scale
-    return _phase(z) * np.clip(np.abs(z), bounds.lower, bounds.upper)
+    return _phase(z) * np.clip(np.abs(z), lower, upper)
 
 
-def shape_scale_step(analysis: np.ndarray, spectrum: np.ndarray) -> complex:
-    """Exact least-squares scale: x^H (F^H s) / ||x||^2 for spectrum x."""
+def _scale_step(analysis: np.ndarray, spectrum: np.ndarray) -> complex:
+    """Exact least-squares scale: x^H (F^H s) / ||x||^2 for spectrum x.
+
+    ||x||^2 is never 0: every message bin has |x_k| >= 1.
+    """
     norm_sq = float(np.sum(spectrum.real**2 + spectrum.imag**2))
-    if norm_sq == 0.0:
-        raise ZeroSpectrumError("auxiliary spectrum is identically zero")
     return complex(np.vdot(spectrum, analysis) / norm_sq)
 
 
-def shape_sequence_step(spectrum: np.ndarray, scale: complex, variant: str) -> np.ndarray:
+def _sequence_step(spectrum: np.ndarray, scale: complex, variant: str) -> np.ndarray:
     """Exact minimizer over the sequence under the variant's constraint.
 
     The full DFT basis is unitary, so the objective separates per entry
     of s: the unimodular minimizer is the phase of (scale * F x)_i, and
     the binary minimizer is the sign of its real part (sign(0) -> +1).
+    Any variant but "unimodular" is binary: run_shape checks the name.
     """
     target = scale * _synthesis(spectrum)
     if variant == "unimodular":
         return _phase(target)
-    if variant == "binary":
-        return np.where(target.real >= 0.0, 1.0, -1.0)
-    raise ValueError(f"unknown variant {variant!r}")
+    return np.where(target.real >= 0.0, 1.0, -1.0)
 
 
 def run_shape(
@@ -143,7 +132,7 @@ def run_shape(
     minimizer. The objective and the next cycle's spectrum and scale steps
     share one F^H s per sequence.
     """
-    bounds = shape_bounds_from_problem(p)
+    lower, upper = _shape_bounds(p)
     rng = np.random.default_rng([p.seed, _SHAPE_STREAM])
     if variant == "binary":
         seq = rng.integers(0, 2, size=p.n) * 2.0 - 1.0
@@ -162,12 +151,12 @@ def run_shape(
     converged = False
     for iterations in range(1, max_iters + 1):
         previous = objective
-        spectrum = shape_spectrum_step(analysis, scale, bounds)
-        scale = shape_scale_step(analysis, spectrum)
+        spectrum = _spectrum_step(analysis, scale, lower, upper)
+        scale = _scale_step(analysis, spectrum)
         if scale == 0:
             converged = True  # model term is dead; objective can no longer improve
             break
-        seq = shape_sequence_step(spectrum, scale, variant)
+        seq = _sequence_step(spectrum, scale, variant)
         analysis = _analysis(seq)
         objective = _objective(analysis, spectrum, scale)
         trace.append(objective)
@@ -186,12 +175,11 @@ def run_shape(
     )
 
 
-def lpnn_target_spectrum(p: DesignProblem, bounds: ShapeBounds) -> np.ndarray:
-    """Per-bin power targets: message bins 1, interferer bins half their cap, else 1."""
+def lpnn_target_spectrum(p: DesignProblem) -> np.ndarray:
+    """Per-bin power targets: interferer bins half their cap sqrt(alpha / |I|), else 1."""
     target = np.ones(p.n)
     if len(p.interferer) > 0:
-        idx = p.interferer.as_array()
-        target[idx] = bounds.upper[idx] / 2.0
+        target[p.interferer.as_array()] = np.sqrt(p.alpha / len(p.interferer)) / 2.0
     return target
 
 
@@ -341,8 +329,7 @@ def run_lpnn(
         raise ValueError(f"step must be finite and positive, got {step!r}")
     if max_iters < 0:
         raise ValueError(f"max_iters must be at least 0, got {max_iters!r}")
-    bounds = shape_bounds_from_problem(p)
-    target = lpnn_target_spectrum(p, bounds)
+    target = lpnn_target_spectrum(p)
     rng = np.random.default_rng([p.seed, _LPNN_STREAM])
     unimodular = variant == "unimodular"
     start = rng.standard_normal(2 * p.n if unimodular else p.n)

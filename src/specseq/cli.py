@@ -155,13 +155,7 @@ def cmd_experiment(args) -> int:
 def cmd_dump_sdp(args) -> int:
     p = _load_problem(args)
     sol = sdp.solve_relaxation(p)
-    target = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
-    try:
-        for row in sol.matrix:
-            target.write(",".join(f"{v:.17g}" for v in row) + "\n")
-    finally:
-        if args.output:
-            target.close()
+    np.savetxt(args.output or sys.stdout, sol.matrix, fmt="%.17g", delimiter=",")
     return 0
 
 

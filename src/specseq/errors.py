@@ -29,14 +29,6 @@ class RankZeroError(SpecseqError):
     """A relaxation solution has no positive eigenvalue to quantize."""
 
 
-class ZeroScaleError(SpecseqError):
-    """The fitted scale factor is zero, so the spectrum update is undefined."""
-
-
-class ZeroSpectrumError(SpecseqError):
-    """The auxiliary spectrum is identically zero, so the scale fit is undefined."""
-
-
 class DivergenceError(SpecseqError):
     """Neuron dynamics left the stable region (step size too large)."""
 

@@ -9,7 +9,7 @@ block the first maximum wins and across blocks only a strictly larger
 score replaces the best, so of scores that are equal as floats the
 lexicographically smaller sequence wins. Scores that are equal in exact
 arithmetic but apart by roundoff go to the larger float, whichever
-sequence that is; ROADMAP direction 8 owns the exact tie rule. Each
+sequence that is; an exact tie rule is left to the orbit oracle. Each
 optimum is reported with the metrics of the block row that selected it.
 """
 
@@ -100,7 +100,7 @@ def halved_constraint_optimum(p: DesignProblem) -> float:
     Returns -inf when that feasible set is empty. This is the ground
     truth the relaxation objective must dominate.
     """
-    best = -np.inf
-    for _, metrics in _enumerate(replace(p, alpha=p.alpha / 2.0)):
-        best = max(best, metrics.best_feasible(ScoreKind.MESSAGE_POWER)[1])
-    return best
+    try:
+        return exhaustive_search(replace(p, alpha=p.alpha / 2.0)).best_by_power[1].message_power
+    except NoFeasibleError:
+        return -np.inf

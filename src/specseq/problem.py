@@ -10,6 +10,7 @@ block of sequences; metric_bundle reads its single-row case.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass, fields
 from enum import Enum
 
@@ -46,6 +47,9 @@ class BandSpec:
     indices: tuple
 
     def __post_init__(self):
+        for k in self.indices:
+            if isinstance(k, (bool, np.bool_)) or not isinstance(k, numbers.Integral):
+                raise ValueError(f"frequency bin must be an integer: {k!r}")
         idx = tuple(int(k) for k in self.indices)
         if any(k < 0 for k in idx):
             raise IndexError(f"negative frequency bin in {idx}")
@@ -169,7 +173,7 @@ def validate_problem(p: DesignProblem) -> DesignProblem:
 
     Raises OverlapError if the bands intersect, IndexError if any bin
     falls outside [0, n), EmptyMessageError if the message band is empty,
-    and ValueError for non-positive sizes or a negative tolerance. A
+    and ValueError for non-positive sizes or a negative or NaN tolerance. A
     message bin k whose mirror n-k is an interferer bin is accepted: a
     real sequence has |X_k| == |X_(n-k)|, so that pair puts equal power
     into both bands, and the relaxation prices it through the bound.
@@ -178,7 +182,7 @@ def validate_problem(p: DesignProblem) -> DesignProblem:
         raise ValueError(f"sequence length must be positive, got {p.n}")
     if p.trials < 1:
         raise ValueError(f"trial count must be positive, got {p.trials}")
-    if p.alpha < 0:
+    if not p.alpha >= 0:  # NaN fails this too
         raise ValueError(f"interferer tolerance must be nonnegative, got {p.alpha}")
     if not 0 <= p.seed < 2**64:
         raise ValueError(f"seed must fit in 64 bits, got {p.seed}")

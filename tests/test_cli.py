@@ -129,6 +129,22 @@ class TestDesign:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "trial count must be positive, got 0" in err
 
+    def test_nan_alpha_exits_1(self, tmp_path, capsys):
+        # Python's json reads the NaN literal; a NaN tolerance is an error, not a design
+        path = tmp_path / "nan.json"
+        path.write_text('{"n": 16, "message": [2, 3], "interferer": [6, 7], "alpha": NaN}')
+        code, out, err = run_cli(capsys, "design", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "tolerance must be nonnegative, got nan" in err
+
+    @pytest.mark.parametrize("command", ["design", "shape"])
+    def test_nan_alpha_flag_exits_1(self, problem_config, capsys, command):
+        code, out, err = run_cli(capsys, command, problem_config, "--alpha", "nan")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "tolerance must be nonnegative, got nan" in err
+
 
 class TestMalformedConfig:
     """A malformed config ends in one error line naming the field, and exit 1."""

@@ -84,6 +84,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             validate_problem(make_problem(8, (1,), (2,), alpha=-1.0))
 
+    def test_nan_alpha_rejected(self):
+        # NaN compares false with 0, so it must fail the check, not pass it
+        with pytest.raises(ValueError, match="tolerance must be nonnegative, got nan"):
+            make_problem(8, (1,), (2,), alpha=math.nan)
+
     def test_replace_is_checked_when_built(self):
         p = make_problem(8, (1,), (2,))
         with pytest.raises(ValueError, match="tolerance must be nonnegative"):
@@ -101,6 +106,17 @@ class TestValidation:
 
     def test_band_sorts_indices(self):
         assert BandSpec((5, 1, 3)).indices == (1, 3, 5)
+
+    @pytest.mark.parametrize(
+        "k", [1.5, 2.0, True, np.float64(1)], ids=["float", "whole-float", "bool", "numpy-float"]
+    )
+    def test_non_integer_bin_rejected(self, k):
+        with pytest.raises(ValueError, match="frequency bin must be an integer"):
+            BandSpec((0, k))
+
+    def test_numpy_integer_bin_accepted(self):
+        band = BandSpec((np.int64(3), 1))
+        assert band.indices == (1, 3) and all(type(k) is int for k in band.indices)
 
 
 class TestMessagePower:
