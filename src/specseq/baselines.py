@@ -300,11 +300,12 @@ def run_lpnn(
     """Euler dynamics on the augmented Lagrangian from a seeded random start.
 
     The modulus penalty weight is LPNN_AUGMENT, ``step`` must be finite
-    and positive and ``max_iters`` at least 0. Stops when the largest
-    increment falls below 1e-8 (converged) or after max_iters steps (not
-    converged); raises DivergenceError if any neuron passes 1e6 in
-    magnitude. The trace records the worst modulus-constraint residual per
-    step.
+    and positive, ``max_iters`` at least 0, and alpha finite when the
+    interferer band is nonempty (ValueError otherwise). Stops when the
+    largest increment falls below 1e-8 (converged) or after max_iters
+    steps (not converged); raises DivergenceError if any neuron passes 1e6
+    in magnitude. The trace records the worst modulus-constraint residual
+    per step.
 
     Each step runs through _lpnn_kernel's increments and one Euler update
     of neurons and multipliers together. A state row holds [neurons as
@@ -330,6 +331,8 @@ def run_lpnn(
     if max_iters < 0:
         raise ValueError(f"max_iters must be at least 0, got {max_iters!r}")
     target = lpnn_target_spectrum(p)
+    if not np.isfinite(target).all():  # the neurons would turn NaN on step 2
+        raise ValueError(f"LPNN needs a finite interferer target, got alpha={p.alpha}")
     rng = np.random.default_rng([p.seed, _LPNN_STREAM])
     unimodular = variant == "unimodular"
     start = rng.standard_normal(2 * p.n if unimodular else p.n)

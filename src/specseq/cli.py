@@ -154,8 +154,8 @@ def cmd_experiment(args) -> int:
 
 def cmd_dump_sdp(args) -> int:
     p = _load_problem(args)
-    sol = sdp.solve_relaxation(p)
-    np.savetxt(args.output or sys.stdout, sol.matrix, fmt="%.17g", delimiter=",")
+    matrix = sdp.circulant(sdp.solve_relaxation(p).spectrum)
+    np.savetxt(args.output or sys.stdout, matrix, fmt="%.17g", delimiter=",")
     return 0
 
 

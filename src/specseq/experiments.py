@@ -359,6 +359,9 @@ def _ratio_histogram(cfg: ExperimentConfig, jobs: int) -> list:
     sol = sdp.solve_relaxation(p)
     res = rounding.run_design(p, sol, retain=True)
     table = res.trial_table
+    if table.gamma is None:
+        raise ValueError(f"RatioHistogram: gamma is undefined, the relaxation objective "
+                         f"{sol.objective:.6g} is at most 1e-12")
 
     edges = np.linspace(0.0, 1.0, 31)
     centers = (edges[:-1] + edges[1:]) / 2.0
@@ -581,25 +584,21 @@ def _baseline_job(args):
         out["alg1"] = None
         out["eigenvector"] = None
 
-    for method, variant in (
-        ("shape_unimodular", "unimodular"), ("shape_binary", "binary")
-    ):
+    for variant in ("unimodular", "binary"):
         t0 = time.perf_counter()
         result = baselines.run_shape(p, variant, max_iters=cfg.shape_max_iters)
-        monotone = bool(
-            np.all(np.diff(result.trace) <= 1e-9 * np.maximum(1.0, result.trace[:-1]))
-        )
-        out[method] = (result.metrics.rejection_ratio, time.perf_counter() - t0, monotone)
+        trace = result.trace
+        monotone = bool(np.all(np.diff(trace) <= 1e-9 * np.maximum(1.0, trace[:-1])))
+        seconds = time.perf_counter() - t0
+        out[f"shape_{variant}"] = (result.metrics.rejection_ratio, seconds, monotone)
 
-    for method, variant in (
-        ("lpnn_unimodular", "unimodular"), ("lpnn_binary", "binary")
-    ):
+    for variant in ("unimodular", "binary"):
         t0 = time.perf_counter()
         try:
             result = baselines.run_lpnn(p, variant, max_iters=cfg.lpnn_max_iters)
-            out[method] = (result.metrics.rejection_ratio, time.perf_counter() - t0)
+            out[f"lpnn_{variant}"] = (result.metrics.rejection_ratio, time.perf_counter() - t0)
         except DivergenceError:
-            out[method] = None
+            out[f"lpnn_{variant}"] = None
     return out
 
 

@@ -2,13 +2,11 @@
 
 A run draws its Gaussians from one counter-based stream, Philox keyed by
 the seed (Salmon et al., SC'11): trial ell takes the ell-th block of r
-normals, r being the number of factor columns that are not all zero,
-projects it through those columns and quantizes the signs. An all-zero
-column adds exactly 0 to every projection, so leaving it out keeps the
-law of each sign vector. The draws do not depend on how trials are
-batched, a shorter run is a prefix of a longer one, and distinct seeds
-are distinct keys, hence independent runs. Candidates whose interferer
-power stays within the full tolerance alpha are feasible
+normals, r being the number of factor columns, projects it through the
+factor and quantizes the signs. The draws do not depend on how trials
+are batched, a shorter run is a prefix of a longer one, and distinct
+seeds are distinct keys, hence independent runs. Candidates whose
+interferer power stays within the full tolerance alpha are feasible
 (problem.band_metrics scores them and holds that rule); the best
 feasible candidate under the chosen score wins, with ties broken by the
 lower trial index, and keeps the metrics of its row in the scored block,
@@ -115,24 +113,18 @@ def run_design(
 
     Deterministic given (p, sol): trial ell reads normals ell*r ..
     (ell+1)*r-1 of Generator(Philox(key=p.seed)), r being the number of
-    factor columns that are not all zero, and projects them through those
-    columns. Set retain=True to keep per-trial metric arrays (used by the
-    experiment harnesses); by default only the winner and summary
-    statistics are kept.
+    factor columns, and projects them through the factor. Set retain=True
+    to keep per-trial metric arrays (used by the experiment harnesses); by
+    default only the winner and summary statistics are kept.
 
     A run makes one chunk-sized float array and reuses it: each chunk is
     projected into it and quantized there, so the normals die at the
     projection, and with retain=True each chunk's metrics are copied into
-    full-length columns. glibc returns the free top of its heap to the
-    system once it exceeds twice the largest block glibc has unmapped, and
-    the next call faults those pages back in. Holding a projection, a mask
-    and a second signs array at once, a call at n=256 with 1e4 trials
-    peaked at 2.0 signs arrays (40.8 MB traced), past that threshold, and
-    took 2,600-4,500 minor page faults, about a fifth of its time; it now
-    peaks at 1.72 arrays and takes none.
+    full-length columns. A call at n=256 with 1e4 trials so peaks at 1.72
+    signs arrays, below the two past which glibc trims its heap top and
+    the next call faults the pages back in (a fifth of a call's time).
     """
-    live = sol.factor[:, np.any(sol.factor != 0.0, axis=0)]
-    factor_t = np.ascontiguousarray(live.T)
+    factor_t = np.ascontiguousarray(sol.factor.T)
     rng = np.random.Generator(np.random.Philox(key=p.seed))
     objective = sol.objective
 
@@ -197,7 +189,7 @@ def run_design(
         n_trials=p.trials,
         feasibility_rate=n_feasible / p.trials,
         gamma_min_feasible=None if math.isinf(gamma_min) else gamma_min,
-        beta=arcsin_trace_ratio(sol.matrix, p.interferer),
+        beta=_beta(p, sol),
         score_kind=score,
         trial_table=table,
     )
@@ -206,12 +198,29 @@ def run_design(
 def quantized_principal_eigenvector(p: DesignProblem, sol: SdpSolution) -> Candidate:
     """Sign-quantize the top eigenvector scaled by sqrt of its eigenvalue."""
     lead = sol.factor[:, 0]
-    if sol.rank < 1 or not np.any(lead):
+    if not np.any(lead):
         raise RankZeroError("solution matrix has no positive eigenvalue")
     seq = np.where(lead >= 0.0, 1, -1).astype(np.int8)
     metrics = metric_bundle(p, seq)
     gamma = metrics.message_power / sol.objective if sol.objective > _OBJECTIVE_FLOOR else None
     return Candidate(sequence=seq, metrics=metrics, trial_index=-1, gamma=gamma)
+
+
+def _beta(p: DesignProblem, sol: SdpSolution) -> float:
+    """arcsin_trace_ratio(circulant(sol.spectrum), p.interferer), without forming S.
+
+    arcsin(S) is circulant: its eigenvalues are the DFT of its first row
+    (Van Vleck & Middleton, "The spectrum of clipped noise", 1966). S's row,
+    sum_k q_k cos(2 pi jk / n) / sum_k q_k, is exactly +-1 where it must be,
+    at the arcsin's infinite slope; an inverse FFT of q can miss by an ulp.
+    """
+    if sol.interferer_trace <= 1e-12:
+        return math.inf
+    n, bins = sol.spectrum.size, np.flatnonzero(sol.spectrum)
+    lags = np.minimum(np.arange(n), n - np.arange(n))
+    row = np.cos(2.0 * np.pi / n * (np.outer(lags, bins) % n)) @ sol.spectrum[bins]
+    lam = np.fft.fft(np.arcsin(np.clip(row / row[0], -1.0, 1.0))).real
+    return float(lam[p.interferer.as_array()].sum()) / sol.interferer_trace
 
 
 def arcsin_trace_ratio(matrix, band) -> float:

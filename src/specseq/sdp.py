@@ -44,9 +44,6 @@ import numpy as np
 from .errors import InfeasibleRelaxationError
 from .problem import BandSpec, DesignProblem
 
-#: relative threshold on eigenvalues counted toward the numerical rank
-RANK_TOL = 1e-7
-
 #: cosine table entries below this are exact zeros of the cosine, so a
 #: quarter-period zero quantizes to +1 by the sign rule, not by roundoff
 _TABLE_ZERO = 1e-12
@@ -54,17 +51,17 @@ _TABLE_ZERO = 1e-12
 
 @dataclass(frozen=True)
 class SdpSolution:
-    """Solution of the relaxation, with exact unit diagonal.
+    """Solution S = Re(F diag(q) F^H) of the relaxation, held as q; circulant(q) forms S.
 
-    matrix            n x n real symmetric circulant PSD with unit diagonal
-    objective         tr(A_M matrix) = a.q over the DFT bins
-    interferer_trace  tr(A_I matrix) = b.q, at most alpha/2 up to roundoff
-    factor            real Fourier columns scaled by sqrt of their
-                      eigenvalue, ordered by descending eigenvalue, then
-                      bin, then cos before sin; factor @ factor.T
-                      reconstructs matrix and w = factor @ v has covariance
-                      matrix for standard normal v
-    rank              count of eigenvalues above the relative rank threshold
+    spectrum          read-only q of length n, q_k = q_(n-k) >= 0 and
+                      sum(q) = n, so S has unit diagonal
+    objective         tr(A_M S) = a.q over the DFT bins
+    interferer_trace  tr(A_I S) = b.q, at most alpha/2 up to roundoff
+    factor            read-only n x r real Fourier columns of the bins with
+                      q_k > 0, scaled by sqrt of their eigenvalue, ordered
+                      by descending eigenvalue, then bin, then cos before
+                      sin; factor @ factor.T reconstructs S and
+                      w = factor @ v has covariance S for standard normal v
     kkt_residual      O(n) certificate, the max of: the gap from a.q up
                       to the weak-duality bound U = n*max_k(a_k - lam*b_k)
                       + lam*alpha/2, over max(1, |U|); the primal
@@ -74,11 +71,10 @@ class SdpSolution:
     dual_multiplier   nonnegative multiplier of the trace inequality
     """
 
-    matrix: np.ndarray
+    spectrum: np.ndarray
     objective: float
     interferer_trace: float
     factor: np.ndarray
-    rank: int
     kkt_residual: float
     dual_multiplier: float
 
@@ -137,34 +133,30 @@ def _cos_table(n: int) -> np.ndarray:
     return table
 
 
-def _fourier_factor(q: np.ndarray, table: np.ndarray):
-    """Real Fourier columns scaled by sqrt(q), and the eigenvalue of each column.
+def _fourier_factor(q: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Real Fourier columns of the bins with q_k > 0, scaled by sqrt(q).
 
     Bin 0 and the Nyquist bin give one cosine column each; every other
     bin k < n/2 gives a cosine and a sine column carrying q_k + q_(n-k).
     """
     n = q.size
-    k = np.arange(n // 2 + 1)
+    k = np.flatnonzero(q[: n // 2 + 1] > 0.0)
     paired = (k > 0) & (2 * k < n)
-    phase = 4 * (np.outer(np.arange(n), k) % n)
-    scale = np.sqrt(np.where(paired, 2.0, 1.0) * q[k] / n)
-    cos_cols = table[phase] * scale
-    sin_cols = table[(phase - n) % (4 * n)][:, paired] * scale[paired]
-    factor = np.hstack([cos_cols, sin_cols])
-    eigenvalues = np.concatenate([q[k], q[k[paired]]])
-    order = np.lexsort((
-        np.concatenate([np.zeros(k.size), np.ones(int(paired.sum()))]),
-        np.concatenate([k, k[paired]]),
-        -eigenvalues,
-    ))
-    return factor[:, order], eigenvalues[order]
+    bins = np.concatenate([k, k[paired]])  # cosine columns, then sine columns
+    order = np.lexsort((np.arange(bins.size) >= k.size, bins, -q[bins]))
+    bins, sine = bins[order], order >= k.size
+    # cos(2 pi jk / n) is table[4 (jk mod n)], and sin(x) = cos(x - pi/2)
+    # is n entries back (a negative index wraps around the period)
+    factor = table[np.outer(np.arange(n), bins) % n * 4 - n * sine]
+    factor *= np.sqrt(np.where((bins > 0) & (2 * bins < n), 2.0, 1.0) * q[bins] / n)
+    return factor
 
 
-def _circulant(q: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Re(F diag(q) F^H) for symmetric q, exactly symmetric and with unit diagonal."""
+def circulant(q: np.ndarray) -> np.ndarray:
+    """Dense S = Re(F diag(q) F^H) of a symmetric q, exactly symmetric with unit diagonal."""
     n = q.size
     lags = np.arange(n // 2 + 1)
-    first = table[4 * (np.outer(lags, np.arange(n)) % n)] @ q / n
+    first = _cos_table(n)[4 * (np.outer(lags, np.arange(n)) % n)] @ q / n
     first[0] = 1.0
     offset = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
     return first[np.minimum(offset, n - offset)]
@@ -194,17 +186,14 @@ def solve_relaxation(p: DesignProblem) -> SdpSolution:
     bound = p.alpha / 2.0
     a, b = _bin_weights(p.n, p.message), _bin_weights(p.n, p.interferer)
     q, lam = _spectrum(a, b, bound)
-    table = _cos_table(p.n)
-    factor, eigenvalues = _fourier_factor(q, table)
-    matrix = _circulant(q, table)
-    matrix.setflags(write=False)
+    factor = _fourier_factor(q, _cos_table(p.n))
+    q.setflags(write=False)
     factor.setflags(write=False)
     return SdpSolution(
-        matrix=matrix,
+        spectrum=q,
         objective=float(a @ q),
         interferer_trace=float(b @ q),
         factor=factor,
-        rank=int(np.count_nonzero(eigenvalues > RANK_TOL * eigenvalues[0])),
         kkt_residual=_certificate(a, b, q, lam, bound, p.alpha),
         dual_multiplier=lam,
     )

@@ -26,6 +26,7 @@ from specseq import (
     solve_relaxation,
 )
 from specseq.cli import main
+from specseq.sdp import circulant
 from helpers import sample_candidate
 
 
@@ -94,7 +95,7 @@ def test_criterion_2_approximation_ratio_floor():
     res = run_design(p, sol, retain=True)
     table = res.trial_table
     floor = 2.0 / math.pi
-    exact = floor * arcsin_trace_ratio(sol.matrix, p.message)
+    exact = floor * arcsin_trace_ratio(circulant(sol.spectrum), p.message)
     mean = float(table.gamma.mean())
     limit = 5.0 * float(table.gamma.std(ddof=1)) / math.sqrt(p.trials)
     elapsed = time.perf_counter() - started
@@ -159,7 +160,7 @@ def test_criterion_4_pairwise_expectation_identity():
         arr = np.asarray(block)
         acc += arr.T @ arr
     acc /= trials
-    expected = (2.0 / math.pi) * np.arcsin(np.clip(sol.matrix, -1.0, 1.0))
+    expected = (2.0 / math.pi) * np.arcsin(np.clip(circulant(sol.spectrum), -1.0, 1.0))
     deviation = float(np.abs(acc - expected).max())
     limit = 5.0 / math.sqrt(trials)
     assert deviation <= limit

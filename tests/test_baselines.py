@@ -468,6 +468,16 @@ class TestRunLpnn:
         with pytest.raises(ValueError, match="max_iters"):
             run_lpnn(p, variant, max_iters=-5)
 
+    @pytest.mark.parametrize("variant", ["binary", "unimodular"])
+    def test_infinite_alpha_rejected(self, variant):
+        # the interferer bins' target would be inf and the neurons NaN
+        p = make_problem(16, (2, 3), (6, 7), alpha=float("inf"), seed=17)
+        with pytest.raises(ValueError, match="alpha=inf"):
+            run_lpnn(p, variant, max_iters=5)
+        # with no interferer band the target stays finite
+        out = run_lpnn(make_problem(16, (2, 3), (), alpha=float("inf")), variant, max_iters=5)
+        assert np.all(np.isfinite(out.sequence))
+
     def test_deterministic(self):
         p = make_problem(12, (1, 2), (5,), alpha=2.0, seed=18)
         a = run_lpnn(p, "binary", max_iters=200)

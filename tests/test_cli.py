@@ -256,6 +256,14 @@ class TestBaselineCommands:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "max_iters must be at least 0, got -1" in err
 
+    @pytest.mark.parametrize("variant", ["binary", "unimodular"])
+    def test_lpnn_infinite_alpha_exits_1(self, problem_config, capsys, variant):
+        code, out, err = run_cli(capsys, "lpnn", problem_config, "--variant", variant,
+                                 "--alpha", "inf")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "alpha=inf" in err
+
 
 class TestExperimentCommand:
     def test_writes_named_csv(self, tmp_path, capsys, monkeypatch):
@@ -323,6 +331,19 @@ class TestExperimentCommand:
         assert code == 1
         assert "interferer width 7" in err and "n=16" in err
 
+    def test_zero_objective_ratio_histogram_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps({
+            "kind": "RatioHistogram",
+            "problem": {"n": 8, "message": [1], "interferer": [7], "alpha": 0.0, "trials": 100},
+        }))
+        out_path = tmp_path / "ratio.csv"
+        code, out, err = run_cli(capsys, "experiment", str(cfg), "--jobs", "1",
+                                 "--output", str(out_path))
+        assert code == 1 and out == "" and not out_path.exists()
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "gamma is undefined" in err
+
 
 class TestDumpSdp:
     def test_matrix_dump(self, problem_config, capsys, tmp_path):
@@ -339,12 +360,13 @@ class TestDumpSdp:
         out_path = tmp_path / "matrix.csv"
         run_cli(capsys, "dump-sdp", problem_config, "--output", str(out_path))
         from specseq import DesignProblem, solve_relaxation
+        from specseq.sdp import circulant
 
         p = DesignProblem.from_json_dict(json.loads(open(problem_config).read()))
         sol = solve_relaxation(p)
         rows = [line.split(",") for line in out_path.read_text().strip().splitlines()]
         matrix = np.array([[float(v) for v in row] for row in rows])
-        assert np.array_equal(matrix, np.asarray(sol.matrix))
+        assert np.array_equal(matrix, circulant(sol.spectrum))
 
     def test_stdout_default(self, problem_config, capsys):
         code, out, _ = run_cli(capsys, "dump-sdp", problem_config)

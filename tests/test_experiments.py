@@ -207,6 +207,14 @@ class TestRatioHistogram:
         # rounded candidates average a higher ratio than uniform sequences
         assert scalars["mean_feasible_gamma"] > scalars["uniform_mean_gamma"]
 
+    def test_zero_objective_rejected(self):
+        # message bin 1 mirrors interferer bin 7, so at alpha=0 the
+        # relaxation objective is 0 and gamma has nothing to normalize by
+        cfg = ex.default_config(ex.ExperimentKind.RATIO_HISTOGRAM, seed=7)
+        problem = DesignProblem(8, BandSpec((1,)), BandSpec((7,)), 0.0, 100, 7)
+        with pytest.raises(ValueError, match="gamma is undefined"):
+            ex.run_experiment(replace(cfg, problem=problem, sweep=(100,)))
+
 
 class TestBetaDistribution:
     def test_cells_report_fraction_below_threshold(self):

@@ -13,6 +13,7 @@ from specseq import (
     halved_constraint_optimum,
     metric_bundle,
     run_design,
+    solve_relaxation,
 )
 from specseq import oracle, rounding
 from specseq.sdp import SdpSolution
@@ -137,7 +138,7 @@ class TestFeasibilityOnTheBoundary:
             rounding, "_trial_normals", lambda seed, start, count, n: rows[start : start + count]
         )
         eye = np.eye(16)
-        sol = SdpSolution(eye, 1.0, 1.0, eye, 16, 0.0, 0.0)
+        sol = SdpSolution(np.ones(16), 1.0, 1.0, eye, 0.0, 0.0)
         assert run_design(p, sol).n_feasible == 30538
 
     def test_exact_nulls_are_feasible_at_alpha_zero(self):
@@ -184,3 +185,44 @@ class TestOptimumMetrics:
             assert [float(v).hex() for v in astuple(bundle)] == [
                 float(v).hex() for v in astuple(rows[0])
             ]
+
+
+def single_bin_optimum(n, k):
+    """Largest |X_k|^2 over binary sequences of length n, X the unitary DFT.
+
+    sqrt(n) |X_k| is the largest sum_i s_i cos(2 pi ik/n - theta) over
+    theta, and for a given theta the signs s_i = sign(cos(2 pi ik/n -
+    theta)) maximize the sum. They change only where theta - 2 pi ik/n
+    crosses +-pi/2, a multiple of pi/(2n), so the arc midpoints
+    theta_j = pi (2j + 1) / (4n), j < 2n, give every pattern up to
+    sign. There cos(2 pi ik/n - theta_j) = cos(pi x / (4n)) for the odd
+    integer x = 8 (ik mod n) - 2j - 1, which is positive exactly when x
+    lies within 2n of a multiple of 8n.
+    """
+    m = np.arange(n) * k % n
+    phasor = np.exp(-2j * np.pi * m / n)
+    best = 0.0
+    for j in np.array_split(np.arange(2 * n), max(1, 2 * n // 256)):
+        x = 8 * m[None, :] - 2 * j[:, None] - 1
+        signs = np.where((x + 2 * n) % (8 * n) < 4 * n, 1.0, -1.0)
+        best = max(best, float(np.max(np.abs(signs @ phasor) ** 2)) / n)
+    return best
+
+
+class TestSingleBinGroundTruth:
+    """Exact optima past the exhaustive oracle's reach: one message bin, no interferer."""
+
+    @pytest.mark.parametrize("n, k", [(8, 3), (12, 4), (15, 5), (16, 1), (16, 6)])
+    def test_arc_midpoints_match_the_oracle(self, n, k):
+        best = exhaustive_search(make_problem(n, (k,), ())).best_by_power[1].message_power
+        assert single_bin_optimum(n, k) == pytest.approx(best, rel=1e-12)
+
+    @pytest.mark.parametrize("n, k", [(64, 5), (256, 37), (1024, 101), (1023, 341), (4096, 411)])
+    def test_design_reaches_the_optimum(self, n, k):
+        # S has rank two, so every trial is sign(cos(2 pi ik/n - theta))
+        # for a uniform theta, and 1e4 trials land on an optimal arc
+        p = DesignProblem(n, BandSpec((k,)), BandSpec(()), 1.0, 10_000, 0)
+        res = run_design(p, solve_relaxation(p))
+        assert res.best.metrics.message_power == pytest.approx(
+            single_bin_optimum(n, k), rel=1e-12
+        )

@@ -10,6 +10,7 @@ from specseq import (
     BandSpec,
     DesignProblem,
     EmptyInterfererError,
+    InfeasibleRelaxationError,
     MetricBundle,
     RankZeroError,
     ScoreKind,
@@ -22,7 +23,7 @@ from specseq import (
     solve_relaxation,
 )
 from specseq import rounding
-from specseq.sdp import RANK_TOL, SdpSolution
+from specseq.sdp import SdpSolution, circulant
 from helpers import sample_candidate
 from test_problem import assert_bitwise, plain_band_metrics
 
@@ -47,11 +48,10 @@ def solution_from_matrix(matrix, p):
     a_m = dense_gram(p.n, p.message)
     a_i = dense_gram(p.n, p.interferer)
     return SdpSolution(
-        matrix=matrix,
+        spectrum=np.fft.fft(matrix[0]).real,
         objective=float(np.sum(a_m * matrix)),
         interferer_trace=float(np.sum(a_i * matrix)),
         factor=factor,
-        rank=int(np.count_nonzero(w > RANK_TOL * max(float(w[0]), 0.0))),
         kkt_residual=0.0,
         dual_multiplier=0.0,
     )
@@ -149,16 +149,16 @@ class TestRunDesign:
         )
 
     def test_matches_per_trial_sampling(self):
-        # trial ell is sample_candidate on the live factor columns, drawn
-        # in trial order from Generator(Philox(key=seed))
+        # trial ell is sample_candidate on the factor, whose columns are
+        # the bins with mass, drawn in trial order from
+        # Generator(Philox(key=seed))
         p = make_problem(12, (1, 2), (4, 5), alpha=3.0, trials=50, seed=9001)
         sol = solve_relaxation(p)
         res = run_design(p, sol, retain=True)
-        live = sol.factor[:, np.any(sol.factor != 0.0, axis=0)]
-        assert live.shape[1] < p.n
+        assert sol.factor.shape[1] < p.n
         rng = np.random.Generator(np.random.Philox(key=p.seed))
         for ell in range(p.trials):
-            cand = sample_candidate(live, rng)
+            cand = sample_candidate(sol.factor, rng)
             assert metric_bundle(p, cand).message_power == pytest.approx(
                 res.trial_table.message_power[ell], rel=1e-12
             )
@@ -182,12 +182,12 @@ class TestRunDesign:
         (16, (2, 3), (6, 7), 1.0),
     ])
     def test_matches_plain_replay_bitwise(self, monkeypatch, n, message, interferer, alpha):
-        # Philox normals over the live columns, np.where signs and the plain
+        # Philox normals over the factor's columns, np.where signs and the plain
         # kernel, chunk by chunk; the last chunk holds a lone row
         monkeypatch.setattr(rounding, "_CHUNK", 512)
         p = make_problem(n, message, interferer, alpha=alpha, trials=3 * 512 + 1, seed=4242)
         sol = solve_relaxation(p)
-        factor_t = np.ascontiguousarray(sol.factor[:, np.any(sol.factor != 0.0, axis=0)].T)
+        factor_t = np.ascontiguousarray(sol.factor.T)
         rng = np.random.Generator(np.random.Philox(key=p.seed))
         signs, chunks = [], []
         for start in range(0, p.trials, 512):
@@ -219,16 +219,6 @@ class TestRunDesign:
         monkeypatch.setattr(rounding, "_CHUNK", 7)
         chunked = run_design(p, sol, retain=True)
         assert_same_result(chunked, default)
-
-    def test_zero_factor_columns_do_not_change_results(self):
-        p = make_problem(16, (2, 3), (6, 7), alpha=2.0, trials=300, seed=4)
-        sol = solve_relaxation(p)
-        live = sol.factor[:, np.any(sol.factor != 0.0, axis=0)]
-        padded = np.zeros((p.n, 3 * live.shape[1]))
-        padded[:, 1::3] = live
-        bare = run_design(p, replace(sol, factor=live), retain=True)
-        for factor in (sol.factor, padded):
-            assert_same_result(run_design(p, replace(sol, factor=factor), retain=True), bare)
 
     def test_feasibility_filter_uses_full_alpha(self):
         p = make_problem(16, (2, 3), (6, 7), alpha=2.0, trials=400, seed=5)
@@ -353,7 +343,7 @@ class TestWorkingMemory:
         monkeypatch.setattr(rounding, "_CHUNK", 7)
         p = make_problem(64, README_MESSAGE, README_INTERFERER, alpha=5.0, trials=300)
         sol = solve_relaxation(p)
-        factor_t = np.ascontiguousarray(sol.factor[:, np.any(sol.factor != 0.0, axis=0)].T)
+        factor_t = np.ascontiguousarray(sol.factor.T)
         early = 0
         for seed in range(10):
             rng = np.random.Generator(np.random.Philox(key=seed))
@@ -428,6 +418,58 @@ class TestTheoryQuantities:
             if arcsin_trace_ratio(s, BandSpec(tuple(range(start, start + k)))) < math.pi - 1:
                 below += 1
         assert below / draws >= 0.99
+
+    @pytest.mark.parametrize("n, message, interferer, alpha, finite", [
+        (8, (1,), (7,), 2.0, True),  # mirror pair, bound binds: mass on DC and Nyquist too
+        (8, (1,), (7,), 20.0, True),  # the same pair on the lambda=0 branch
+        (8, (1,), (0, 4, 7), 2.0, True),  # DC and Nyquist interferer bins
+        (7, (2, 3), (4, 5), 2.5, True),  # odd n, both message bins mirrored
+        (7, (2, 3), (4, 5), 50.0, True),
+        (14, (6,), (0, 1, 4, 5, 8, 12), 18.0, True),  # S_(0,7) = 1 exactly
+        (16, (3,), (13,), 4.0, True),
+        (12, (1, 2), (5, 10, 11), 3.0, True),
+        (16, (3,), (13,), 0.0, False),  # both bands nulled
+        (8, (0,), (4,), 1.0, False),  # DC message, Nyquist interferer
+        (8, (4,), (0,), 1.0, False),  # Nyquist message, DC interferer
+        (9, (0, 1), (3, 8), 30.0, False),
+        (8, (1, 2), (), 1.0, False),  # no interferer band
+    ])
+    def test_beta_matches_dense_reference(self, n, message, interferer, alpha, finite):
+        # run_design's beta comes from the spectrum; the reference forms S
+        p = make_problem(n, message, interferer, alpha=alpha, trials=8)
+        sol = solve_relaxation(p)
+        beta = run_design(p, sol).beta
+        reference = arcsin_trace_ratio(circulant(sol.spectrum), p.interferer)
+        assert math.isfinite(reference) == finite
+        if finite:
+            assert beta == pytest.approx(reference, rel=1e-12)
+        else:
+            assert beta == math.inf
+
+    def test_beta_matches_dense_reference_on_random_problems(self):
+        rng = np.random.default_rng(2024)
+        finite = 0
+        for _ in range(300):
+            n = int(rng.integers(2, 33))
+            labels = rng.choice(list("mi...."), n)
+            if "m" not in labels:
+                continue
+            message = tuple(k for k in range(n) if labels[k] == "m")
+            interferer = tuple(k for k in range(n) if labels[k] == "i")
+            alpha = float(rng.choice([0.5, 2.0, 5.0, n, 4.0 * n]) * rng.uniform(0.5, 1.5))
+            p = make_problem(n, message, interferer, alpha=alpha, trials=1)
+            try:
+                sol = solve_relaxation(p)
+            except InfeasibleRelaxationError:
+                continue
+            beta = rounding._beta(p, sol)
+            reference = arcsin_trace_ratio(circulant(sol.spectrum), p.interferer)
+            if math.isinf(reference):
+                assert beta == math.inf
+            else:
+                assert beta == pytest.approx(reference, rel=1e-12)
+                finite += 1
+        assert finite >= 20
 
     def test_mcdiarmid_zero_alpha(self):
         p = make_problem(8, (1,), (2,), alpha=0.0)

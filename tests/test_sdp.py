@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -16,7 +17,7 @@ from specseq import (
     quantized_principal_eigenvector,
     solve_relaxation,
 )
-from specseq.sdp import _bin_weights, _certificate
+from specseq.sdp import _bin_weights, _certificate, circulant
 
 
 def make_problem(n, message, interferer, alpha, seed=0):
@@ -52,19 +53,14 @@ def dense_kkt(matrix, a_m, a_i, lam, bound, alpha):
 
 
 def assert_dense_reference_agrees(p, sol):
-    """The dense certificate of sol.matrix and its dense traces against the O(n) values."""
+    """The dense certificate of S and its dense traces against the O(n) values."""
     a_m, a_i = dense_gram(p.n, p.message), dense_gram(p.n, p.interferer)
-    matrix = np.asarray(sol.matrix)
+    matrix = circulant(sol.spectrum)
     kkt = dense_kkt(matrix, a_m, a_i, sol.dual_multiplier, p.alpha / 2, p.alpha)
     assert kkt <= 1e-9
     for dense, stored in ((np.sum(a_m * matrix), sol.objective),
                           (np.sum(a_i * matrix), sol.interferer_trace)):
         assert abs(dense - stored) <= 1e-12 * max(1.0, abs(stored))
-
-
-def spectrum_of(sol):
-    """q with S = Re(F diag(q) F^H), recovered from the first row of S."""
-    return np.fft.fft(np.asarray(sol.matrix)[0]).real
 
 
 def random_config(rng, n=12, widths=(3, 3)):
@@ -82,19 +78,20 @@ class TestSolveRelaxation:
         p = make_problem(4, (0,), (), 1.0)
         sol = solve_relaxation(p)
         assert sol.objective == pytest.approx(4.0, abs=1e-6)
-        assert np.abs(sol.matrix - 1.0).max() < 1e-5
+        assert np.abs(circulant(sol.spectrum) - 1.0).max() < 1e-5
         assert sol.dual_multiplier == 0.0
         assert sol.interferer_trace == 0.0
 
     def test_solution_invariants(self):
         p = make_problem(16, (2, 3, 4), (6, 7), 1.5)
         sol = solve_relaxation(p)
-        assert np.abs(np.diag(sol.matrix) - 1).max() <= 10 * 1e-6
+        matrix = circulant(sol.spectrum)
+        assert np.abs(np.diag(matrix) - 1).max() <= 10 * 1e-6
         assert sol.interferer_trace <= p.alpha / 2 + 10 * 1e-6
-        assert np.linalg.eigvalsh(np.asarray(sol.matrix)).min() >= -10 * 1e-6
-        recon = np.linalg.norm(sol.factor @ sol.factor.T - sol.matrix)
-        assert recon <= 1e-6 * np.linalg.norm(sol.matrix)
-        assert np.abs(sol.matrix).max() <= 1.0 + 1e-8
+        assert np.linalg.eigvalsh(matrix).min() >= -10 * 1e-6
+        recon = np.linalg.norm(sol.factor @ sol.factor.T - matrix)
+        assert recon <= 1e-6 * np.linalg.norm(matrix)
+        assert np.abs(matrix).max() <= 1.0 + 1e-8
         assert sol.kkt_residual <= 1e-5
         gram_check = sol.factor.T @ sol.factor
         off = gram_check - np.diag(np.diag(gram_check))
@@ -123,7 +120,7 @@ class TestSolveRelaxation:
         p = make_problem(12, (1, 2, 3), (6, 7), 1.0)
         a = solve_relaxation(p)
         b = solve_relaxation(p)
-        assert np.array_equal(a.matrix, b.matrix)
+        assert np.array_equal(a.spectrum, b.spectrum)
         assert np.array_equal(a.factor, b.factor)
         assert a.objective == b.objective
         assert a.dual_multiplier == b.dual_multiplier
@@ -149,7 +146,7 @@ class TestSolveRelaxation:
 
     def test_matrix_circulant_with_unit_diagonal(self):
         p = make_problem(16, (2, 3, 4), (6, 7), 1.5)
-        s = np.asarray(solve_relaxation(p).matrix)
+        s = circulant(solve_relaxation(p).spectrum)
         assert np.array_equal(np.diag(s), np.ones(16))
         assert np.array_equal(s, s.T)
         assert np.array_equal(s, np.roll(s, (1, 1), axis=(0, 1)))
@@ -157,8 +154,8 @@ class TestSolveRelaxation:
     @pytest.mark.parametrize("n", [7, 8])
     def test_factor_columns_in_canonical_order(self, n):
         # every bin but DC carries mass n/(n-1); columns go by descending
-        # eigenvalue, then bin, then cos before sin, and DC's zero column
-        # comes last; only even n has a Nyquist column
+        # eigenvalue, then bin, then cos before sin, and DC, with no mass,
+        # has no column; only even n has a Nyquist column
         p = make_problem(n, tuple(range(1, n)), (), 1.0)
         sol = solve_relaxation(p)
         j = np.arange(n)
@@ -170,8 +167,7 @@ class TestSolveRelaxation:
             else:
                 expected.append(np.sqrt(2 * q / n) * np.cos(2 * np.pi * k * j / n))
                 expected.append(np.sqrt(2 * q / n) * np.sin(2 * np.pi * k * j / n))
-        expected.append(np.zeros(n))
-        assert sol.factor.shape == (n, n)
+        assert sol.factor.shape == (n, n - 1)
         assert np.abs(sol.factor - np.column_stack(expected)).max() <= 1e-12
 
     def test_quarter_period_zeros_quantize_to_plus_one(self):
@@ -183,12 +179,48 @@ class TestSolveRelaxation:
         cand = quantized_principal_eigenvector(p, sol)
         assert np.array_equal(cand.sequence, [1, 1, -1, 1, 1, 1, -1, 1])
 
+    @pytest.mark.parametrize("n, message, interferer, alpha", [
+        (12, (1, 2), (5, 10, 11), 3.0),  # blend of two classes, bins 5 and 7 empty
+        (8, (1,), (0, 4, 7), 2.0),  # DC and Nyquist with mass
+        (15, (1, 2, 3), (5, 6), 40.0),  # odd n, lambda=0 branch
+        (64, tuple(range(12, 15)) + tuple(range(20, 23)),
+         tuple(range(5, 8)) + tuple(range(25, 28)), 5.0),
+    ])
+    def test_factor_holds_only_live_columns(self, n, message, interferer, alpha):
+        sol = solve_relaxation(make_problem(n, message, interferer, alpha))
+        assert np.all(np.any(sol.factor != 0.0, axis=0))
+        # one column per bin with mass: q_k and q_(n-k) share a cos and a sin
+        assert sol.factor.shape[1] == np.count_nonzero(sol.spectrum)
+        assert np.abs(sol.factor @ sol.factor.T - circulant(sol.spectrum)).max() <= 1e-12
+
+    def test_solve_never_forms_dense_s(self):
+        # at n=4096 one n x n float array is 128 MiB; the factor of the
+        # paper layout has 768 columns
+        n, s = 4096, 4096 // 64
+        p = make_problem(
+            n, tuple(range(12 * s, 15 * s)) + tuple(range(20 * s, 23 * s)),
+            tuple(range(5 * s, 8 * s)) + tuple(range(25 * s, 28 * s)), 160.0,
+        )
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            sol = solve_relaxation(p)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert sol.factor.shape == (n, 768)
+        assert peak < 128 * 2**20
+
     def test_rank_counts_bins_with_mass(self):
         # mass 3/4 on bins {1, 2, 10, 11}, 3/2 on the six bins outside
         # both bands and their mirrors, none on bins {5, 7}
         p = make_problem(12, (1, 2), (5, 10, 11), 3.0)
-        assert solve_relaxation(p).rank == 10
-        assert solve_relaxation(make_problem(4, (0,), (), 1.0)).rank == 1
+        assert solve_relaxation(p).factor.shape[1] == 10
+        assert solve_relaxation(make_problem(4, (0,), (), 1.0)).factor.shape[1] == 1
 
 
 class TestDualBisection:
@@ -244,7 +276,7 @@ class TestKktResiduals:
         p = make_problem(6, (1,), (2,), 1.0)
         sol = solve_relaxation(p)
         a, b = _bin_weights(6, p.message), _bin_weights(6, p.interferer)
-        q, lam = spectrum_of(sol), sol.dual_multiplier
+        q, lam = sol.spectrum, sol.dual_multiplier
         bound = p.alpha / 2
 
         def certificate(q, lam):
@@ -257,7 +289,7 @@ class TestKktResiduals:
         off[0] += 1.0  # mass moved off the optimum onto a bin of weight 0
         assert certificate(off, lam) >= 0.1
         assert certificate(q, 1.0) >= 0.1  # wrong multiplier
-        bad = np.array(sol.matrix)
+        bad = circulant(sol.spectrum)
         bad[0, 0] = 1.1
         a_m, a_i = dense_gram(6, p.message), dense_gram(6, p.interferer)
         assert dense_kkt(bad, a_m, a_i, lam, bound, p.alpha) >= 0.1
@@ -266,7 +298,7 @@ class TestKktResiduals:
         p = make_problem(12, (1, 2), (5, 10, 11), 3.0)
         sol = solve_relaxation(p)
         a, b = _bin_weights(12, p.message), _bin_weights(12, p.interferer)
-        again = _certificate(a, b, spectrum_of(sol), sol.dual_multiplier, p.alpha / 2, p.alpha)
+        again = _certificate(a, b, sol.spectrum, sol.dual_multiplier, p.alpha / 2, p.alpha)
         assert again == pytest.approx(sol.kkt_residual, rel=1e-9, abs=1e-12)
 
     def test_converged_n64(self):
