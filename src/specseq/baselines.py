@@ -6,7 +6,9 @@ binary-constrained form. SHAPE is block coordinate descent on
 ||F^H s - scale * x||^2 over the spectrum x, the complex scale, and the
 sequence s; every step is an exact block minimizer, so the objective
 never increases. LPNN runs Euler dynamics on an augmented Lagrangian
-with per-entry modulus constraints.
+with per-entry modulus constraints; it stops once its increments vanish,
+and the binary form also once its output signs have held for
+_LPNN_PATIENCE steps.
 
 Both work with the unitary DFT F[i, k] = exp(-2j*pi*i*k/n)/sqrt(n), whose
 products are FFTs: F^H s is ``np.fft.ifft(s, norm="ortho")`` and F x is
@@ -39,6 +41,9 @@ _LPNN_STREAM = 202
 #: LPNN steps run between checks; each block keeps the rows its checks read
 _LPNN_BLOCK = 64
 
+#: binary LPNN stops once the signs of its neurons have held for this many steps
+_LPNN_PATIENCE = 1024
+
 
 @dataclass(frozen=True)
 class BaselineResult:
@@ -46,7 +51,9 @@ class BaselineResult:
     metrics: MetricBundle
     iterations: int
     trace: np.ndarray
-    #: True when the run stopped by its own rule, False when max_iters cut it
+    #: True when the run stopped by its own rule, False when max_iters cut it:
+    #: SHAPE's objective or scale rule; LPNN's increment rule, or for binary
+    #: LPNN also its output signs holding for _LPNN_PATIENCE steps
     converged: bool
 
 
@@ -302,10 +309,14 @@ def run_lpnn(
     The modulus penalty weight is LPNN_AUGMENT, ``step`` must be finite
     and positive, ``max_iters`` at least 0, and alpha finite when the
     interferer band is nonempty (ValueError otherwise). Stops when the
-    largest increment falls below 1e-8 (converged) or after max_iters
-    steps (not converged); raises DivergenceError if any neuron passes 1e6
-    in magnitude. The trace records the worst modulus-constraint residual
-    per step.
+    largest increment falls below 1e-8 (converged), for the binary variant
+    also at the first step t whose output signs ``neurons >= 0.0`` have not
+    changed since step t - _LPNN_PATIENCE, the start counting as step 0
+    (converged), or else after max_iters steps (not converged); raises
+    DivergenceError if any neuron passes 1e6 in magnitude. Binary outputs
+    are the signs alone, and they settle long before the increments
+    vanish; a budget below _LPNN_PATIENCE never reaches the sign rule. The
+    trace records the worst modulus-constraint residual per step.
 
     Each step runs through _lpnn_kernel's increments and one Euler update
     of neurons and multipliers together. A state row holds [neurons as
@@ -317,12 +328,16 @@ def run_lpnn(
     and ``step * residual``, since a product does not depend on the order
     of its factors. Steps run in blocks of _LPNN_BLOCK that keep every row
     they make: step j reads state row j, writes increment row j and adds
-    into state row j + 1. After a block, the stop and divergence rules are
-    whole-block comparisons over those rows, and the first step where
-    either holds ends the run, divergence first, as in a plain
-    step-by-step loop. NaN fails both comparisons, so a step whose values
-    are NaN neither stops nor diverges the run. The block's last state row,
-    multipliers included, becomes the next block's first.
+    into state row j + 1. After a block, the stop, sign and divergence
+    rules are whole-block comparisons over those rows, and the first step
+    where any holds ends the run, divergence first, as in a plain
+    step-by-step loop. The sign rule flags each state row whose signs
+    differ from the row before and carries the step of the last change
+    across blocks as a running maximum. NaN fails the increment and
+    divergence comparisons, so a step whose values are NaN neither stops
+    nor diverges the run by them; its signs read NaN as -1, as the output
+    does. The block's last state row, multipliers included, becomes the
+    next block's first.
     """
     if variant not in ("binary", "unimodular"):
         raise ValueError(f"unknown variant {variant!r}")
@@ -356,6 +371,7 @@ def run_lpnn(
 
     trace = np.empty(max_iters)
     iterations = 0
+    last_change = 0
     converged = False
     while iterations < max_iters and not converged:
         steps = min(_LPNN_BLOCK, max_iters - iterations)
@@ -377,6 +393,13 @@ def run_lpnn(
             stopped &= np.abs(d_scales[:steps]) < 1e-8
             stopped &= np.abs(inc_block[:steps, :m]).max(axis=1) < 1e-8
         ended = diverged | stopped
+        if not unimodular:
+            signs = state_block[:steps + 1, :m] >= 0.0
+            at = np.arange(iterations + 1, iterations + steps + 1)
+            changes = np.where((signs[1:] != signs[:-1]).any(axis=1), at, last_change)
+            np.maximum.accumulate(changes, out=changes)
+            ended |= at - changes >= _LPNN_PATIENCE
+            last_change = int(changes[-1])
         if ended.any():
             steps = int(ended.argmax()) + 1
             if diverged[steps - 1]:

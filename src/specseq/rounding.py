@@ -94,15 +94,6 @@ class DesignResult:
         }
 
 
-def _trial_normals(rng: np.random.Generator, start: int, count: int, r: int) -> np.ndarray:
-    """Normals of trials start .. start+count-1, one row of r per trial.
-
-    The rows are the next count*r normals of the run's stream, so the
-    caller asks for the trials in order; start only names the first one.
-    """
-    return rng.standard_normal((count, r))
-
-
 def run_design(
     p: DesignProblem,
     sol: SdpSolution,
@@ -142,7 +133,7 @@ def run_design(
     for start in range(0, p.trials, _CHUNK):
         count = min(_CHUNK, p.trials - start)
         signs = buffer[:count]
-        np.matmul(_trial_normals(rng, start, count, factor_t.shape[0]), factor_t, out=signs)
+        np.matmul(rng.standard_normal((count, factor_t.shape[0])), factor_t, out=signs)
         # exactly +-1, with -0.0 to +1 and NaN to -1 as the np.where of
         # quantized_principal_eigenvector maps them: the loops of
         # (w >= 0.0) * 2.0 - 1.0, written in place

@@ -166,14 +166,17 @@ def _certificate(a, b, q, lam, bound, alpha) -> float:
     """Largest violation of optimality of spectrum q with multiplier lam (see SdpSolution)."""
     n = q.size
     itrace = float(b @ q)
-    upper = n * float(np.max(a - lam * b)) + lam * bound
+    # a zero multiplier's terms are 0, also at alpha = +inf, where 0 * inf is NaN
+    dual_term = lam * bound if lam else 0.0
+    slackness = lam * abs(itrace - bound) / max(1.0, alpha) if lam else 0.0
+    upper = n * float(np.max(a - lam * b)) + dual_term
     return max(
         (upper - float(a @ q)) / max(1.0, abs(upper)),
         max(0.0, -float(q.min())),
         abs(float(q.sum()) - n) / n,
         max(0.0, itrace - bound),
         max(0.0, -lam),
-        lam * abs(itrace - bound) / max(1.0, alpha),
+        slackness,
     )
 
 

@@ -13,6 +13,7 @@ from specseq import (
 )
 from specseq.baselines import (
     _LPNN_BLOCK,
+    _LPNN_PATIENCE,
     _LPNN_STREAM,
     _SHAPE_STREAM,
     LPNN_AUGMENT,
@@ -30,6 +31,14 @@ from specseq.baselines import (
 
 def make_problem(n, message, interferer, alpha=1.0, seed=0):
     return DesignProblem(n, BandSpec(message), BandSpec(interferer), alpha, 10, seed)
+
+
+#: the baseline layouts of the benchmark's compare workload
+COMPARE_LAYOUTS = {
+    "baseline-64-w1": (tuple(range(43, 53)), (31,)),
+    "baseline-64-w4": (tuple(range(39, 49)), tuple(range(1, 5))),
+    "baseline-64-w10": (tuple(range(22, 32)), tuple(range(51, 61))),
+}
 
 
 def dense_dft(n):
@@ -510,8 +519,9 @@ def plain_lpnn_increments(neurons, scale, multipliers, p, target_spectrum):
 def replay_lpnn(p, variant, max_iters, step=1e-3):
     """run_lpnn as a plain Euler loop over kernel_increments, checking each step bitwise.
 
-    Returns (sequence, trace, iterations, converged), or the iteration
-    at which a neuron passed 1e6 in magnitude.
+    Binary runs also stop once their signs have held for _LPNN_PATIENCE
+    steps. Returns (sequence, trace, iterations, converged), or the
+    iteration at which a neuron passed 1e6 in magnitude.
     """
     target = lpnn_target_spectrum(p)
     rng = np.random.default_rng([p.seed, _LPNN_STREAM])
@@ -520,6 +530,7 @@ def replay_lpnn(p, variant, max_iters, step=1e-3):
     multipliers = rng.standard_normal(p.n)
     trace = []
     iterations = 0
+    signs, last_change = neurons >= 0.0, 0
     converged = False
     for iterations in range(1, max_iters + 1):
         args = (neurons, scale, multipliers, p, target)
@@ -536,6 +547,11 @@ def replay_lpnn(p, variant, max_iters, step=1e-3):
         if np.max(np.abs(neurons)) > 1e6:
             return iterations
         if max(float(np.max(np.abs(d_neurons))), abs(d_scale), worst_residual) < 1e-8:
+            converged = True
+            break
+        if not np.array_equal(neurons >= 0.0, signs):
+            signs, last_change = neurons >= 0.0, iterations
+        if variant == "binary" and iterations - last_change >= _LPNN_PATIENCE:
             converged = True
             break
     if variant == "binary":
@@ -570,10 +586,17 @@ class TestLpnnExactness:
         seq, trace, iterations, converged = replay_lpnn(p, variant, max_iters, step)
         assert out.trace.tobytes() == trace.tobytes()
         assert out.iterations == iterations and out.converged == converged
-        assert converged == (p.n == 1)
-        if converged:
-            # the stop fires inside a block, so the block's first-event index ends the run
-            assert iterations % _LPNN_BLOCK != 0
+        if variant == "binary":
+            # n9 and n1 run past the patience; the 300-step budgets stay below it
+            assert converged == (max_iters >= _LPNN_PATIENCE)
+            if converged:
+                # signs that never change hold from the start
+                assert iterations == _LPNN_PATIENCE and trace[-1] >= 1e-8
+        else:
+            assert converged == (p.n == 1)
+            if converged:
+                # the stop fires inside a block, so the block's first-event index ends the run
+                assert iterations % _LPNN_BLOCK != 0
         assert out.sequence.dtype == seq.dtype and out.sequence.tobytes() == seq.tobytes()
         assert out.metrics == metric_bundle(p, seq)
 
@@ -637,20 +660,29 @@ class TestLpnnExactness:
             run_lpnn(p, "binary", max_iters=diverged_at, step=step)
 
     @pytest.mark.parametrize(
-        "variant, step, stopped_at",
+        "variant, p, step, stopped_at",
         [
-            ("binary", 0.0201, 225 * _LPNN_BLOCK),
-            ("unimodular", 0.0169, 259 * _LPNN_BLOCK),
-            ("binary", 0.0161, 281 * _LPNN_BLOCK + 1),
+            # the last sign change is at step 64, a block's last row
+            ("binary", make_problem(64, *COMPARE_LAYOUTS["baseline-64-w10"], alpha=5.0, seed=180),
+             1e-3, _LPNN_PATIENCE + _LPNN_BLOCK),
+            ("unimodular", make_problem(1, (0,), (), alpha=1.0, seed=2), 0.0169, 259 * _LPNN_BLOCK),
+            # the last sign change is at step 65, a block's first row, found
+            # against the previous block's last row
+            ("binary", make_problem(64, *COMPARE_LAYOUTS["baseline-64-w1"], alpha=5.0, seed=49),
+             1e-3, _LPNN_PATIENCE + _LPNN_BLOCK + 1),
         ],
         ids=["binary-last-row", "unimodular-last-row", "binary-first-row"],
     )
-    def test_stop_on_a_block_edge(self, variant, step, stopped_at):
-        """The stop fires at the plain loop's step when that step is a block's last or first."""
-        p = make_problem(1, (0,), (), alpha=1.0, seed=2)
+    def test_stop_on_a_block_edge(self, variant, p, step, stopped_at):
+        """The stop fires at the plain loop's step when that step is a block's last or first.
+
+        Binary runs end by their signs holding for _LPNN_PATIENCE steps, and
+        the unimodular run by its increments falling below 1e-8.
+        """
         out = run_lpnn(p, variant, max_iters=30000, step=step)
         seq, trace, iterations, converged = replay_lpnn(p, variant, 30000, step)
         assert iterations == stopped_at and converged
+        assert (trace[-1] >= 1e-8) == (variant == "binary")
         assert out.trace.tobytes() == trace.tobytes()
         assert out.iterations == iterations and out.converged
         assert out.sequence.dtype == seq.dtype and out.sequence.tobytes() == seq.tobytes()
@@ -663,6 +695,70 @@ class TestLpnnExactness:
         run_lpnn(p, variant, max_iters=diverged_at - 1, step=10.0)
         with pytest.raises(DivergenceError):
             run_lpnn(p, variant, max_iters=diverged_at, step=10.0)
+
+
+def long_binary_lpnn(p, max_iters=10000, step=1e-3):
+    """Binary LPNN's sequence after a plain Euler loop with no sign rule.
+
+    Steps through the kernel alone, which TestLpnnExactness checks against
+    the plain increments, so 10 000 steps at n=64 take about 0.1 s. Keeps
+    the increment stop and the divergence check.
+    """
+    target = lpnn_target_spectrum(p)
+    rng = np.random.default_rng([p.seed, _LPNN_STREAM])
+    neurons = rng.standard_normal(p.n)
+    scale = float(rng.standard_normal())
+    multipliers = rng.standard_normal(p.n)
+    increments = _lpnn_kernel(target, False)
+    residual, grad = np.empty(p.n), np.empty(p.n)
+    for _ in range(max_iters):
+        d_scale = increments(neurons, scale, multipliers, residual, grad)
+        neurons = neurons + step * -grad
+        multipliers = multipliers + step * residual
+        scale = scale + step * d_scale
+        assert np.max(np.abs(neurons)) <= 1e6
+        if max(float(np.max(np.abs(grad))), abs(d_scale), float(np.max(np.abs(residual)))) < 1e-8:
+            break
+    return np.where(neurons >= 0.0, 1, -1).astype(np.int8)
+
+
+class TestLpnnPatience:
+    @pytest.mark.parametrize(
+        "p",
+        [
+            # the benchmark's compare layouts from their fixed starts; their
+            # signs last change at steps 11, 0 and 26
+            *(
+                pytest.param(make_problem(64, *COMPARE_LAYOUTS[name], alpha=5.0, seed=seed),
+                             id=name)
+                for name, seed in [
+                    ("baseline-64-w1", 2635072618980576772),
+                    ("baseline-64-w4", 13464360262196971257),
+                    ("baseline-64-w10", 15151391314854672944),
+                ]
+            ),
+            # the five criterion-8 layouts whose signs change last, at steps
+            # 237, 204, 162, 138 and 135
+            *(
+                pytest.param(make_problem(64, tuple(range(*m)), tuple(range(*i)), alpha=5.0,
+                                          seed=seed), id=f"criterion8-{seed}")
+                for m, i, seed in [
+                    ((31, 41), (11, 21), 2215434257),
+                    ((22, 32), (48, 55), 4054708256),
+                    ((8, 18), (46, 50), 3000632214),
+                    ((0, 10), (31, 41), 4016160657),
+                    ((50, 60), (41, 49), 866630641),
+                ]
+            ),
+        ],
+    )
+    def test_sign_rule_keeps_the_full_budget_sequence(self, p):
+        """Binary runs end early by the sign rule with the sequence 10 000 steps give."""
+        out = run_lpnn(p, "binary")
+        assert out.converged and out.iterations < 10000
+        seq = long_binary_lpnn(p)
+        assert out.sequence.dtype == seq.dtype and out.sequence.tobytes() == seq.tobytes()
+        assert out.metrics == metric_bundle(p, seq)
 
 
 def replay_shape(p, variant, max_iters):
@@ -706,14 +802,6 @@ def replay_shape(p, variant, max_iters):
     if variant == "binary":
         seq = seq.real.astype(np.int8)
     return seq, np.asarray(trace), iterations, converged
-
-
-#: the baseline layouts of the benchmark's compare workload
-COMPARE_LAYOUTS = {
-    "baseline-64-w1": (tuple(range(43, 53)), (31,)),
-    "baseline-64-w4": (tuple(range(39, 49)), tuple(range(1, 5))),
-    "baseline-64-w10": (tuple(range(22, 32)), tuple(range(51, 61))),
-}
 
 
 class TestShapeExactness:

@@ -134,9 +134,17 @@ class TestFeasibilityOnTheBoundary:
 
         # run_design with an identity factor and its normals replaced by
         # the enumerated rows scores every sequence through its own path
-        monkeypatch.setattr(
-            rounding, "_trial_normals", lambda seed, start, count, n: rows[start : start + count]
-        )
+        class EnumeratedRows:
+            """A stand-in Generator whose normals are the enumerated rows, in order."""
+
+            def __init__(self, bit_generator):
+                self.drawn = 0
+
+            def standard_normal(self, shape):
+                start, self.drawn = self.drawn, self.drawn + shape[0]
+                return rows[start : self.drawn]
+
+        monkeypatch.setattr(rounding.np.random, "Generator", EnumeratedRows)
         eye = np.eye(16)
         sol = SdpSolution(np.ones(16), 1.0, 1.0, eye, 0.0, 0.0)
         assert run_design(p, sol).n_feasible == 30538

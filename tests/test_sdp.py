@@ -309,6 +309,15 @@ class TestKktResiduals:
         sol = solve_relaxation(p)
         assert sol.kkt_residual <= 1e-5
 
+    @pytest.mark.parametrize(
+        "n, message, interferer", [(16, (1, 2), (5, 6)), (8, (1,), (7,))]
+    )
+    def test_infinite_alpha_certified(self, n, message, interferer):
+        # the multiplier is 0, so its terms must not turn into 0 * inf = NaN
+        sol = solve_relaxation(make_problem(n, message, interferer, float("inf")))
+        assert sol.dual_multiplier == 0.0
+        assert np.isfinite(sol.kkt_residual) and sol.kkt_residual <= 1e-5
+
     def test_dense_reference_on_paper_layout(self):
         p = make_problem(
             64, tuple(range(12, 15)) + tuple(range(20, 23)),
