@@ -32,7 +32,6 @@ from .problem import (
     build_partial_dft,
     metric_bundle,
     sequence_line,
-    validate_problem,
 )
 from .rounding import (
     Candidate,
@@ -60,7 +59,7 @@ __all__ = [
     "OracleResult", "exhaustive_search", "halved_constraint_optimum",
     # problems and the metric kernel
     "BandMetrics", "BandSpec", "DesignProblem", "MetricBundle", "ScoreKind",
-    "band_metrics", "build_partial_dft", "metric_bundle", "sequence_line", "validate_problem",
+    "band_metrics", "build_partial_dft", "metric_bundle", "sequence_line",
     # randomized rounding and theory quantities
     "Candidate", "DesignResult", "arcsin_trace_ratio", "mcdiarmid_bound",
     "quantized_principal_eigenvector", "run_design",

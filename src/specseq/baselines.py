@@ -73,16 +73,6 @@ def _shape_bounds(p: DesignProblem) -> tuple:
     return lower, upper
 
 
-def _analysis(s: np.ndarray) -> np.ndarray:
-    """F^H s."""
-    return np.fft.ifft(s, norm="ortho")
-
-
-def _synthesis(x: np.ndarray) -> np.ndarray:
-    """F x."""
-    return np.fft.fft(x, norm="ortho")
-
-
 def _objective(analysis: np.ndarray, spectrum, scale) -> float:
     resid = analysis - scale * spectrum
     return float(np.sum(resid.real**2 + resid.imag**2))
@@ -119,7 +109,7 @@ def _sequence_step(spectrum: np.ndarray, scale: complex, variant: str) -> np.nda
     the binary minimizer is the sign of its real part (sign(0) -> +1).
     Any variant but "unimodular" is binary: run_shape checks the name.
     """
-    target = scale * _synthesis(spectrum)
+    target = scale * np.fft.fft(spectrum, norm="ortho")
     if variant == "unimodular":
         return _phase(target)
     return np.where(target.real >= 0.0, 1.0, -1.0)
@@ -150,7 +140,7 @@ def run_shape(
     if max_iters < 0:
         raise ValueError(f"max_iters must be at least 0, got {max_iters!r}")
 
-    analysis = _analysis(seq)
+    analysis = np.fft.ifft(seq, norm="ortho")
     scale = 1.0 + 0.0j
     objective = np.inf
     trace = []
@@ -164,7 +154,7 @@ def run_shape(
             converged = True  # model term is dead; objective can no longer improve
             break
         seq = _sequence_step(spectrum, scale, variant)
-        analysis = _analysis(seq)
+        analysis = np.fft.ifft(seq, norm="ortho")
         objective = _objective(analysis, spectrum, scale)
         trace.append(objective)
         if np.isfinite(previous) and abs(previous - objective) <= SHAPE_TOL * max(1.0, previous):

@@ -71,8 +71,14 @@ class BandSpec:
 class DesignProblem:
     """Problem data: length, bands, interferer tolerance, trial budget, seed.
 
-    Checked by validate_problem when built, whether by the constructor,
-    dataclasses.replace or from_json_dict, so no stage checks it again.
+    Checked when built, whether by the constructor, dataclasses.replace or
+    from_json_dict, so no stage checks it again. Raises OverlapError if
+    the bands intersect, IndexError if any bin falls outside [0, n),
+    EmptyMessageError if the message band is empty, and ValueError for
+    non-positive sizes or a negative or NaN tolerance. A message bin k
+    whose mirror n-k is an interferer bin is accepted: a real sequence
+    has |X_k| == |X_(n-k)|, so that pair puts equal power into both
+    bands, and the relaxation prices it through the bound.
     """
 
     n: int
@@ -83,17 +89,23 @@ class DesignProblem:
     seed: int = 0
 
     def __post_init__(self):
-        validate_problem(self)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "message": list(self.message.indices),
-            "interferer": list(self.interferer.indices),
-            "alpha": float(self.alpha),
-            "trials": self.trials,
-            "seed": self.seed,
-        }
+        if self.n < 1:
+            raise ValueError(f"sequence length must be positive, got {self.n}")
+        if self.trials < 1:
+            raise ValueError(f"trial count must be positive, got {self.trials}")
+        if not self.alpha >= 0:  # NaN fails this too
+            raise ValueError(f"interferer tolerance must be nonnegative, got {self.alpha}")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must fit in 64 bits, got {self.seed}")
+        if len(self.message) == 0:
+            raise EmptyMessageError("message band is empty")
+        for band in (self.message, self.interferer):
+            for k in band:
+                if k >= self.n:
+                    raise IndexError(f"frequency bin {k} out of range for n={self.n}")
+        common = set(self.message.indices) & set(self.interferer.indices)
+        if common:
+            raise OverlapError(f"bands overlap at bins {sorted(common)}")
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "DesignProblem":
@@ -159,51 +171,8 @@ class MetricBundle:
     reciprocal_dynamic_range: float
     feasible: bool
 
-    def score(self, kind: ScoreKind) -> float:
-        return getattr(self, _SCORE_FIELDS[kind])
-
     def to_json_dict(self) -> dict:
         return asdict(self)
-
-
-def validate_problem(p: DesignProblem) -> DesignProblem:
-    """Check all problem invariants and return the problem unchanged.
-
-    DesignProblem calls this when it is built, so callers need not.
-
-    Raises OverlapError if the bands intersect, IndexError if any bin
-    falls outside [0, n), EmptyMessageError if the message band is empty,
-    and ValueError for non-positive sizes or a negative or NaN tolerance. A
-    message bin k whose mirror n-k is an interferer bin is accepted: a
-    real sequence has |X_k| == |X_(n-k)|, so that pair puts equal power
-    into both bands, and the relaxation prices it through the bound.
-    """
-    if p.n < 1:
-        raise ValueError(f"sequence length must be positive, got {p.n}")
-    if p.trials < 1:
-        raise ValueError(f"trial count must be positive, got {p.trials}")
-    if not p.alpha >= 0:  # NaN fails this too
-        raise ValueError(f"interferer tolerance must be nonnegative, got {p.alpha}")
-    if not 0 <= p.seed < 2**64:
-        raise ValueError(f"seed must fit in 64 bits, got {p.seed}")
-    if len(p.message) == 0:
-        raise EmptyMessageError("message band is empty")
-    for band in (p.message, p.interferer):
-        for k in band:
-            if k >= p.n:
-                raise IndexError(f"frequency bin {k} out of range for n={p.n}")
-    common = set(p.message.indices) & set(p.interferer.indices)
-    if common:
-        raise OverlapError(f"bands overlap at bins {sorted(common)}")
-    return p
-
-
-def as_sequence(p: DesignProblem, s) -> np.ndarray:
-    """Coerce to a length-n vector, raising LengthMismatchError otherwise."""
-    arr = np.asarray(s)
-    if arr.ndim != 1 or arr.shape[0] != p.n:
-        raise LengthMismatchError(f"expected length {p.n}, got shape {arr.shape}")
-    return arr
 
 
 def build_partial_dft(n: int, band) -> np.ndarray:
@@ -318,7 +287,10 @@ def band_metrics(p: DesignProblem, signs) -> BandMetrics:
 
 def metric_bundle(p: DesignProblem, s) -> MetricBundle:
     """All metrics of one sequence: the single-row case of band_metrics."""
-    return band_metrics(p, as_sequence(p, s)[None, :]).row(0)
+    arr = np.asarray(s)
+    if arr.ndim != 1 or arr.shape[0] != p.n:
+        raise LengthMismatchError(f"expected length {p.n}, got shape {arr.shape}")
+    return band_metrics(p, arr[None, :]).row(0)
 
 
 def sequence_line(s) -> str:

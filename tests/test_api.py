@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import specseq
 
 
@@ -8,3 +11,11 @@ def test_all_names_resolve_once():
     namespace = {}
     exec("from specseq import *", namespace)
     assert set(names) <= set(namespace)
+
+
+def test_readme_quick_start_runs(capsys):
+    # the README's first Python block uses only public names; run it as written
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"```python\n(.*?)```", readme, re.DOTALL).group(1)
+    exec(block, {"__name__": "readme_quick_start"})
+    assert "MetricBundle(message_power=" in capsys.readouterr().out

@@ -222,6 +222,16 @@ class TestOracle:
         _, out_b, _ = run_cli(capsys, "oracle", problem_config)
         assert out_a == out_b
 
+    def test_size_limit_exits_1(self, tmp_path, capsys):
+        # a length one past the oracle's limit is an error, not an enumeration
+        path = tmp_path / "n25.json"
+        path.write_text(
+            json.dumps({"n": 25, "message": [2, 3], "interferer": [6, 7], "alpha": 2.0})
+        )
+        code, out, err = run_cli(capsys, "oracle", str(path))
+        assert code == 1 and out == ""
+        assert err == "error: n=25 exceeds exhaustive-search limit 24\n"
+
 
 class TestBaselineCommands:
     def test_shape_binary(self, problem_config, capsys):
