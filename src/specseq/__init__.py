@@ -10,7 +10,6 @@ from .errors import (
     LengthMismatchError,
     NoFeasibleError,
     OverlapError,
-    RankZeroError,
     SizeLimitError,
     SpecseqError,
 )
@@ -51,7 +50,7 @@ __all__ = [
     # errors
     "DivergenceError", "EmptyInterfererError", "EmptyMessageError",
     "InfeasibleRelaxationError", "LengthMismatchError", "NoFeasibleError",
-    "OverlapError", "RankZeroError", "SizeLimitError", "SpecseqError",
+    "OverlapError", "SizeLimitError", "SpecseqError",
     # experiment harnesses
     "ExperimentConfig", "ExperimentKind", "ExperimentReport", "default_config",
     "run_experiment",

@@ -134,9 +134,9 @@ def cmd_lpnn(args) -> int:
 def cmd_experiment(args) -> int:
     with open(args.config, "r", encoding="utf-8") as handle:
         data = json.load(handle)
-    if args.seed is not None:
+    if args.seed is not None and isinstance(data, dict):
         data["seed"] = args.seed
-    if args.paper_scale:
+    if args.paper_scale and isinstance(data, dict):
         data["paper_scale"] = True
     cfg = experiments.config_from_json_dict(data)
     if args.trials is not None:

@@ -25,10 +25,6 @@ class InfeasibleRelaxationError(SpecseqError):
     """The relaxed program has no solution under the halved interferer bound."""
 
 
-class RankZeroError(SpecseqError):
-    """A relaxation solution has no positive eigenvalue to quantize."""
-
-
 class DivergenceError(SpecseqError):
     """Neuron dynamics left the stable region (step size too large)."""
 

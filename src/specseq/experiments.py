@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 import time
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
@@ -26,7 +27,7 @@ import numpy as np
 from . import baselines, oracle, rounding, sdp
 from ._version import __version__
 from .errors import DivergenceError, InfeasibleRelaxationError, NoFeasibleError
-from .problem import BandSpec, DesignProblem, ScoreKind, band_metrics, is_int_list, json_int
+from .problem import BandSpec, DesignProblem, ScoreKind, band_metrics, json_int
 
 #: reference length the published band layouts are given for
 _REFERENCE_N = 128
@@ -56,24 +57,47 @@ class ExperimentKind(Enum):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """Checked when built, by dataclasses.replace too, so no harness checks its sweep again.
+
+    A sweep lists numbers (FeasibilityVsAlpha, RatioHistogram), [n, K, R]
+    integer cells with 1 <= K <= n and R >= 1 (BetaDistribution), or
+    integers of at least 1, the widths or trial counts of the other kinds.
+    """
+
     kind: ExperimentKind
     problem: DesignProblem
     sweep: tuple
     repetitions: int
     seed: int
-    shape_max_iters: int = 10000
-    lpnn_max_iters: int = 10000
 
     def __post_init__(self):
         if len(self.sweep) == 0:
             raise ValueError("sweep grid must be nonempty")
+        object.__setattr__(self, "sweep", tuple(map(self._read_entry, self.sweep)))
         if self.repetitions < 1:
             raise ValueError("repetitions must be at least 1")
-        for name in ("shape_max_iters", "lpnn_max_iters"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be at least 0, got {getattr(self, name)}")
         # the experiment seed keys every draw, the problem's rounding draws included
         object.__setattr__(self, "problem", replace(self.problem, seed=self.seed))
+
+    def _read_entry(self, v):
+        """A sweep entry as the kind's harness reads it; ValueError if it is not one."""
+
+        def count(x):
+            return isinstance(x, numbers.Integral) and not isinstance(x, bool) and x >= 1
+
+        if self.kind is ExperimentKind.BETA_DISTRIBUTION:
+            if isinstance(v, (tuple, list)) and len(v) == 3 and all(map(count, v)) and v[1] <= v[0]:
+                return tuple(map(int, v))
+            entries = "[n, K, R] integer cells with 1 <= K <= n and R >= 1"
+        elif self.kind in (ExperimentKind.FEASIBILITY_VS_ALPHA, ExperimentKind.RATIO_HISTOGRAM):
+            if isinstance(v, numbers.Real) and not isinstance(v, bool):
+                return float(v)
+            entries = "numbers"
+        elif count(v):
+            return int(v)
+        else:
+            entries = "integers of at least 1"
+        raise ValueError(f"sweep of {self.kind.value} must list {entries}: {self.sweep!r}")
 
 
 @dataclass
@@ -223,19 +247,11 @@ def config_from_json_dict(data: dict) -> ExperimentConfig:
     if "problem" in data:
         updates["problem"] = DesignProblem.from_json_dict(data["problem"])
     if "sweep" in data:
-        sweep = data["sweep"]
-        cells = kind is ExperimentKind.BETA_DISTRIBUTION
-        if not isinstance(sweep, list) or not all(
-            (is_int_list(v) and len(v) == 3 and 1 <= v[1] <= v[0] and v[2] >= 1)
-            if cells else type(v) in (int, float)
-            for v in sweep
-        ):
-            entries = "[n, K, R] integer cells with 1 <= K <= n and R >= 1" if cells else "numbers"
-            raise ValueError(f"sweep of {kind.value} must list {entries}: {sweep!r}")
-        updates["sweep"] = tuple(tuple(v) if cells else v for v in sweep)
-    for name in ("repetitions", "shape_max_iters", "lpnn_max_iters"):
-        if name in data:
-            updates[name] = json_int(data, name)
+        if not isinstance(data["sweep"], list):
+            raise ValueError(f"sweep of {kind.value} must be a list: {data['sweep']!r}")
+        updates["sweep"] = tuple(data["sweep"])
+    if "repetitions" in data:
+        updates["repetitions"] = json_int(data, "repetitions")
     return replace(base, **updates)
 
 
@@ -343,16 +359,14 @@ def _feasibility_curve(cfg: ExperimentConfig, points, jobs: int) -> list:
 
 def _feasibility_vs_alpha(cfg: ExperimentConfig, jobs: int) -> list:
     """Feasibility rates of rounded and uniform sequences across tolerances."""
-    points = [(replace(cfg.problem, alpha=float(a)), float(a)) for a in cfg.sweep]
+    points = [(replace(cfg.problem, alpha=a), a) for a in cfg.sweep]
     return _feasibility_curve(cfg, points, jobs)
 
 
 def _feasibility_vs_width(cfg: ExperimentConfig, jobs: int) -> list:
     """Feasibility rates across contiguous interferer band widths."""
     p = cfg.problem
-    points = [
-        (replace(p, interferer=_interferer_band_for_width(w, p.n)), w) for w in map(int, cfg.sweep)
-    ]
+    points = [(replace(p, interferer=_interferer_band_for_width(w, p.n)), w) for w in cfg.sweep]
     return _feasibility_curve(cfg, points, jobs)
 
 
@@ -436,10 +450,7 @@ def _beta_cell(args):
 def _beta_distribution(cfg: ExperimentConfig, jobs: int) -> list:
     """Arcsin trace ratio of random unit-diagonal PSD matrices per (n, K, R) cell."""
     root = np.random.SeedSequence(cfg.seed)
-    args = [
-        (int(n), int(k), int(rank), cfg.repetitions, _child_seed(root, i))
-        for i, (n, k, rank) in enumerate(cfg.sweep)
-    ]
+    args = [(*cell, cfg.repetitions, _child_seed(root, i)) for i, cell in enumerate(cfg.sweep)]
     return [row for rows in _map_jobs(_beta_cell, args, jobs) for row in rows]
 
 
@@ -494,7 +505,7 @@ def _oracle_job(args):
         "rho": (table.rejection_ratio, best.best_by_rho[1].rejection_ratio),
         "chi": (table.reciprocal_dynamic_range, best.best_by_chi[1].reciprocal_dynamic_range),
     }
-    out = dict.fromkeys(map(int, sweep))
+    out = dict.fromkeys(sweep)
     for length in out:
         mask = table.feasible[:length]
         if mask.any():
@@ -517,9 +528,9 @@ def _oracle_comparison(cfg: ExperimentConfig, jobs: int) -> list:
         rng = np.random.default_rng(_child_seed(root, 0))
         picked = rng.choice(len(choices), size=cfg.repetitions, replace=False)
         choices = [choices[i] for i in sorted(picked)]
-    trials = max(int(v) for v in cfg.sweep)
+    trials = max(cfg.sweep)
     args = [
-        (n, msg, intf, cfg.problem.alpha, trials, _child_seed(root, 1 + i), tuple(cfg.sweep))
+        (n, msg, intf, cfg.problem.alpha, trials, _child_seed(root, 1 + i), cfg.sweep)
         for i, (msg, intf) in enumerate(choices)
     ]
     results = _map_jobs(_oracle_job, args, jobs)
@@ -529,7 +540,7 @@ def _oracle_comparison(cfg: ExperimentConfig, jobs: int) -> list:
         _stat(None, "skipped_configs", len(results) - len(active)),
         _stat(None, "n_configs", len(results)),
     ]
-    for length in map(int, cfg.sweep):
+    for length in cfg.sweep:
         found = [r[length] for r in active if r[length] is not None]
         if found:
             for name in ("power", "rho", "chi"):
@@ -566,10 +577,10 @@ def _baseline_job(args):
     read, but they must still be in range, since a problem is checked when
     it is built.
     """
-    cfg, width, seed = args
+    problem, width, seed = args
     rng = np.random.default_rng(seed)
-    msg, intf = _random_disjoint_bands(cfg.problem.n, len(cfg.problem.message), width, rng)
-    p = replace(cfg.problem, message=msg, interferer=intf, seed=int(seed))
+    msg, intf = _random_disjoint_bands(problem.n, len(problem.message), width, rng)
+    p = replace(problem, message=msg, interferer=intf, seed=seed)
     out = {}
 
     t0 = time.perf_counter()
@@ -594,7 +605,7 @@ def _baseline_job(args):
 
     for variant in ("unimodular", "binary"):
         t0 = time.perf_counter()
-        result = baselines.run_shape(p, variant, max_iters=cfg.shape_max_iters)
+        result = baselines.run_shape(p, variant)
         trace = result.trace
         monotone = bool(np.all(np.diff(trace) <= 1e-9 * np.maximum(1.0, trace[:-1])))
         seconds = time.perf_counter() - t0
@@ -603,7 +614,7 @@ def _baseline_job(args):
     for variant in ("unimodular", "binary"):
         t0 = time.perf_counter()
         try:
-            result = baselines.run_lpnn(p, variant, max_iters=cfg.lpnn_max_iters)
+            result = baselines.run_lpnn(p, variant)
             out[f"lpnn_{variant}"] = (result.metrics.rejection_ratio, time.perf_counter() - t0)
         except DivergenceError:
             out[f"lpnn_{variant}"] = None
@@ -619,7 +630,7 @@ _BASELINE_METHODS = (
 def _baseline_comparison(cfg: ExperimentConfig, jobs: int) -> list:
     """Mean rejection ratio and wall-clock time per method across interferer widths."""
     n, message_width = cfg.problem.n, len(cfg.problem.message)
-    for width in map(int, cfg.sweep):
+    for width in cfg.sweep:
         if message_width + width > n:
             # no two disjoint contiguous bands fit, so the band draw would never return
             raise ValueError(
@@ -630,7 +641,7 @@ def _baseline_comparison(cfg: ExperimentConfig, jobs: int) -> list:
     args = []
     for wi, width in enumerate(cfg.sweep):
         for rep in range(cfg.repetitions):
-            args.append((cfg, int(width), _child_seed(root, wi * cfg.repetitions + rep)))
+            args.append((cfg.problem, width, _child_seed(root, wi * cfg.repetitions + rep)))
     results = _map_jobs(_baseline_job, args, jobs)
 
     rows = []
@@ -639,7 +650,7 @@ def _baseline_comparison(cfg: ExperimentConfig, jobs: int) -> list:
         for method in _BASELINE_METHODS:
             entries = [r[method] for r in chunk if r[method] is not None]
             row = dict.fromkeys(_BASELINE_COLUMNS)
-            row.update(width=int(width), method=method, n_runs=len(entries))
+            row.update(width=width, method=method, n_runs=len(entries))
             rows.append(row)
             if not entries:
                 continue

@@ -19,11 +19,6 @@ import numpy as np
 from .errors import EmptyMessageError, LengthMismatchError, OverlapError
 
 
-def is_int_list(value) -> bool:
-    """Whether a JSON value is a list of integers (true and false are not integers)."""
-    return isinstance(value, list) and all(type(v) is int for v in value)
-
-
 def json_int(data: dict, name: str, default=None) -> int:
     """data[name], or default when absent, if it is a JSON integer (true and false are not)."""
     value = data.get(name, default)
@@ -119,7 +114,8 @@ class DesignProblem:
         if missing:
             raise ValueError(f"missing problem fields: {sorted(missing)}")
         for name in ("message", "interferer"):
-            if not is_int_list(data[name]):
+            # true and false are not integers
+            if not isinstance(data[name], list) or any(type(v) is not int for v in data[name]):
                 raise ValueError(f"problem field {name!r} must list integers: {data[name]!r}")
         return cls(
             n=json_int(data, "n"),

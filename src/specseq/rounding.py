@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import EmptyInterfererError, RankZeroError
+from .errors import EmptyInterfererError
 from .problem import (
     BandMetrics,
     DesignProblem,
@@ -188,10 +188,7 @@ def run_design(
 
 def quantized_principal_eigenvector(p: DesignProblem, sol: SdpSolution) -> Candidate:
     """Sign-quantize the top eigenvector scaled by sqrt of its eigenvalue."""
-    lead = sol.factor[:, 0]
-    if not np.any(lead):
-        raise RankZeroError("solution matrix has no positive eigenvalue")
-    seq = np.where(lead >= 0.0, 1, -1).astype(np.int8)
+    seq = np.where(sol.factor[:, 0] >= 0.0, 1, -1).astype(np.int8)
     metrics = metric_bundle(p, seq)
     gamma = metrics.message_power / sol.objective if sol.objective > _OBJECTIVE_FLOOR else None
     return Candidate(sequence=seq, metrics=metrics, trial_index=-1, gamma=gamma)

@@ -355,7 +355,6 @@ def test_criterion_9_determinism(tmp_path, capsys):
     # deterministic in every other column
     config = {
         "kind": "BaselineComparison", "seed": 7, "sweep": [2], "repetitions": 2,
-        "shape_max_iters": 100, "lpnn_max_iters": 100,
         "problem": {"n": 16, "message": [2, 3, 4], "interferer": [8, 9],
                     "alpha": 3.0, "trials": 300, "seed": 7},
     }

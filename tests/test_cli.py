@@ -174,22 +174,29 @@ class TestMalformedConfig:
         self.assert_error(*run_cli(capsys, "design", str(path)), repr(field))
 
     @pytest.mark.parametrize(
-        "config, field",
+        "config, field, flags",
         [
-            ({"kind": "BetaDistribution", "repetitions": [5]}, "'repetitions'"),
-            ({"kind": "OracleComparison", "problem": 5}, "problem"),
-            ({"kind": "FeasibilityVsAlpha", "paper_scale": "false"}, "'paper_scale'"),
-            ([{"kind": "BetaDistribution"}], "experiment config"),
+            ({"kind": "BetaDistribution", "repetitions": [5]}, "'repetitions'", ()),
+            ({"kind": "OracleComparison", "problem": 5}, "problem", ()),
+            ({"kind": "FeasibilityVsAlpha", "paper_scale": "false"}, "'paper_scale'", ()),
+            ([{"kind": "BetaDistribution"}], "experiment config must be a JSON object", ()),
+            # the flags override fields of a config that must first be an object
+            ([{"kind": "BetaDistribution"}], "experiment config must be a JSON object",
+             ("--seed", "3")),
+            ([{"kind": "BetaDistribution"}], "experiment config must be a JSON object",
+             ("--paper-scale",)),
         ],
         ids=["repetitions-list", "problem-not-an-object", "paper-scale-string",
-             "config-not-an-object"],
+             "config-not-an-object", "config-not-an-object-seed-flag",
+             "config-not-an-object-paper-scale-flag"],
     )
-    def test_experiment_scalar(self, tmp_path, capsys, config, field):
+    def test_experiment_scalar(self, tmp_path, capsys, config, field, flags):
         path = tmp_path / "exp.json"
         path.write_text(json.dumps(config))
         code, out, err = run_cli(capsys, "experiment", str(path), "--jobs", "1",
-                                 "--output", str(tmp_path / "out.csv"))
+                                 "--output", str(tmp_path / "out.csv"), *flags)
         self.assert_error(code, out, err, field)
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "kind, sweep",
@@ -198,8 +205,16 @@ class TestMalformedConfig:
             ("BetaDistribution", [[8, 12, 2]]),
             ("OracleComparison", [[64]]),
             ("FeasibilityVsAlpha", 5),
+            # read as entries, these would run width 2, an empty band labelled
+            # -1, width 0, and the first 14 of 64 trials labelled -50
+            ("FeasibilityVsWidth", [2.5]),
+            ("FeasibilityVsWidth", [-1]),
+            ("BaselineComparison", [0.5]),
+            ("OracleComparison", [-50, 64]),
         ],
-        ids=["beta-scalar-cell", "beta-k-above-n", "oracle-list-entry", "sweep-not-a-list"],
+        ids=["beta-scalar-cell", "beta-k-above-n", "oracle-list-entry", "sweep-not-a-list",
+             "width-fraction", "width-negative", "baseline-width-fraction",
+             "oracle-negative-trials"],
     )
     def test_experiment_sweep(self, tmp_path, capsys, kind, sweep):
         path = tmp_path / "exp.json"

@@ -82,11 +82,38 @@ class TestConfigParsing:
         assert replace(cfg, seed=5).problem.seed == 5
 
     @pytest.mark.parametrize("name", ["shape_max_iters", "lpnn_max_iters"])
-    def test_negative_iteration_budget_rejected(self, name):
-        with pytest.raises(ValueError, match=name):
-            ex.config_from_json_dict({"kind": "BaselineComparison", name: -1})
-        cfg = ex.config_from_json_dict({"kind": "BaselineComparison", name: 0})
-        assert getattr(cfg, name) == 0
+    def test_iteration_budget_is_unknown(self, name):
+        # the harness runs SHAPE and LPNN at their own default budgets
+        with pytest.raises(ValueError, match=f"unknown experiment fields: \\['{name}'\\]"):
+            ex.config_from_json_dict({"kind": "BaselineComparison", name: 300})
+
+    @pytest.mark.parametrize(
+        "kind",
+        [ex.ExperimentKind.FEASIBILITY_VS_WIDTH, ex.ExperimentKind.ORACLE_COMPARISON,
+         ex.ExperimentKind.BASELINE_COMPARISON],
+        ids=lambda kind: kind.value,
+    )
+    @pytest.mark.parametrize(
+        "entry", [2.5, 0, -1, True], ids=["fraction", "zero", "negative", "bool"]
+    )
+    def test_integer_sweep_checked_when_built(self, kind, entry):
+        # a replaced config is checked as a parsed one is, before any harness reads it
+        with pytest.raises(ValueError, match=f"sweep of {kind.value} must list integers"):
+            replace(ex.default_config(kind), sweep=(entry,))
+
+    def test_sweep_entries_stored_as_read(self):
+        alpha = replace(ex.default_config(ex.ExperimentKind.FEASIBILITY_VS_ALPHA), sweep=(1, 2.5))
+        assert alpha.sweep == (1.0, 2.5) and all(type(v) is float for v in alpha.sweep)
+        width = replace(ex.default_config(ex.ExperimentKind.FEASIBILITY_VS_WIDTH),
+                        sweep=(np.int64(3),))
+        assert width.sweep == (3,) and type(width.sweep[0]) is int
+        beta = ex.config_from_json_dict({"kind": "BetaDistribution", "sweep": [[16, 2, 2]]})
+        assert beta.sweep == ((16, 2, 2),)
+
+    @pytest.mark.parametrize("sweep", [("1.0",), (None,), (True,)])
+    def test_number_sweep_rejects_non_numbers(self, sweep):
+        with pytest.raises(ValueError, match="sweep of FeasibilityVsAlpha must list numbers"):
+            replace(ex.default_config(ex.ExperimentKind.FEASIBILITY_VS_ALPHA), sweep=sweep)
 
     def test_empty_sweep_rejected(self):
         with pytest.raises(ValueError):
@@ -276,10 +303,7 @@ class TestBaselineComparison:
             cfg.problem, n=32, trials=1500, message=BandSpec(tuple(range(10, 15))),
             interferer=BandSpec((20, 21)),
         )
-        cfg = replace(
-            cfg, problem=problem, sweep=(2,), repetitions=2,
-            shape_max_iters=300, lpnn_max_iters=300,
-        )
+        cfg = replace(cfg, problem=problem, sweep=(2,), repetitions=2)
         report = ex.run_experiment(cfg)
         methods = {r["method"] for r in report.rows}
         assert methods == set(ex._BASELINE_METHODS)
@@ -299,10 +323,7 @@ class TestBaselineComparison:
             n=16, message=BandSpec(tuple(range(10))), interferer=BandSpec((12,)),
             alpha=3.0, trials=50, seed=12,
         )
-        cfg = replace(
-            cfg, problem=problem, sweep=(7,), repetitions=1,
-            shape_max_iters=50, lpnn_max_iters=50,
-        )
+        cfg = replace(cfg, problem=problem, sweep=(7,), repetitions=1)
         with pytest.raises(ValueError, match="interferer width 7 .* n=16"):
             ex.run_experiment(cfg)
         report = ex.run_experiment(replace(cfg, sweep=(6,)))
