@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import csv
 import math
+import multiprocessing
 import numbers
+import os
 import time
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
@@ -27,7 +29,7 @@ import numpy as np
 from . import baselines, oracle, rounding, sdp
 from ._version import __version__
 from .errors import DivergenceError, InfeasibleRelaxationError, NoFeasibleError
-from .problem import BandSpec, DesignProblem, ScoreKind, band_metrics, json_int
+from .problem import BandSpec, DesignProblem, ScoreKind, _block_metrics, _scoring_basis, json_int
 
 #: reference length the published band layouts are given for
 _REFERENCE_N = 128
@@ -61,7 +63,8 @@ class ExperimentConfig:
 
     A sweep lists numbers (FeasibilityVsAlpha, RatioHistogram), [n, K, R]
     integer cells with 1 <= K <= n and R >= 1 (BetaDistribution), or
-    integers of at least 1, the widths or trial counts of the other kinds.
+    integers of at least 1, the widths or trial counts of the other kinds,
+    and no entry twice.
     """
 
     kind: ExperimentKind
@@ -74,6 +77,8 @@ class ExperimentConfig:
         if len(self.sweep) == 0:
             raise ValueError("sweep grid must be nonempty")
         object.__setattr__(self, "sweep", tuple(map(self._read_entry, self.sweep)))
+        if len(set(self.sweep)) != len(self.sweep):
+            raise ValueError(f"sweep of {self.kind.value} repeats an entry: {self.sweep!r}")
         if self.repetitions < 1:
             raise ValueError("repetitions must be at least 1")
         # the experiment seed keys every draw, the problem's rounding draws included
@@ -267,12 +272,35 @@ def _metadata(cfg: ExperimentConfig) -> dict:
     }
 
 
+#: what each pool worker reads when it imports numpy: one BLAS thread, so
+#: that workers times BLAS threads stays within the cores
+_WORKER_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+
+
 def _map_jobs(fn, args_list, jobs: int):
+    """[fn(args) for args in args_list], on up to `jobs` worker processes.
+
+    Workers are spawned, not forked: a forked child keeps the BLAS its
+    parent has initialised, with its threads. The worker environment is
+    set in this process only while the pool runs, then restored.
+    """
     if jobs > 1 and len(args_list) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=min(jobs, len(args_list))) as pool:
-            return list(pool.map(fn, args_list))
+        saved = {name: os.environ.get(name) for name in _WORKER_ENV}
+        os.environ.update(_WORKER_ENV)
+        try:
+            with ProcessPoolExecutor(
+                max_workers=min(jobs, len(args_list)),
+                mp_context=multiprocessing.get_context("spawn"),
+            ) as pool:
+                return list(pool.map(fn, args_list))
+        finally:
+            for name, value in saved.items():
+                if value is None:
+                    os.environ.pop(name, None)
+                else:
+                    os.environ[name] = value
     return [fn(args) for args in args_list]
 
 
@@ -302,18 +330,20 @@ def _mean_se(values) -> tuple:
 def _uniform_metrics(p: DesignProblem, count: int, rng) -> tuple:
     """Message powers and feasibility of `count` uniform +-1 sequences.
 
-    Each block's signs go into one float array made once, as in
-    rounding.run_design; the draws stay int64, whose stream they are.
+    They are scored in blocks of rounding._CHUNK rows, each block's signs
+    going into one float array made once, as in rounding.run_design; the
+    draws stay int64, whose stream they are.
     """
-    block = 65536
+    block = rounding._CHUNK
     f = np.empty(count)
     feasible = np.empty(count, dtype=bool)
     buffer = np.empty((min(block, count), p.n))
+    basis = _scoring_basis(p)
     for done in range(0, count, block):
         signs = buffer[: min(block, count - done)]
         np.multiply(rng.integers(0, 2, size=signs.shape), 2.0, out=signs)
         np.subtract(signs, 1.0, out=signs)
-        metrics = band_metrics(p, signs)
+        metrics = _block_metrics(p, basis, signs)
         f[done : done + len(signs)] = metrics.message_power
         feasible[done : done + len(signs)] = metrics.feasible
     return f, feasible
@@ -683,7 +713,9 @@ _HARNESSES = {
 def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
     """Run the config's harness and wrap its rows with the config echo.
 
-    jobs bounds the worker processes and must be at least 1.
+    jobs bounds the worker processes and must be at least 1. Workers are
+    spawned and import the caller's main module, so a script that passes
+    jobs > 1 calls this under `if __name__ == "__main__":`.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")

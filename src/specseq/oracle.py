@@ -3,8 +3,8 @@
 Negating a sequence changes no metric, so the first entry is fixed to +1
 and only 2^(n-1) sequences are visited. They are enumerated in
 lexicographic order (-1 before +1) in blocks of 2^12 rows, and each
-block is scored by problem.band_metrics, so the oracle applies the same
-metric, null and feasibility rules as the design it judges. Within a
+block is scored by problem.band_metrics' kernel, so the oracle applies
+the same metric, null and feasibility rules as the design it judges. Within a
 block the first maximum wins and across blocks only a strictly larger
 score replaces the best, so of scores that are equal as floats the
 lexicographically smaller sequence wins. Scores that are equal in exact
@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NoFeasibleError, SizeLimitError
-from .problem import DesignProblem, ScoreKind, band_metrics
+from .problem import DesignProblem, ScoreKind, _block_metrics, _scoring_basis
 
 DEFAULT_LIMIT = 24
 
@@ -61,9 +61,10 @@ def _enumerate(p: DesignProblem):
     high = p.n - 1 - low
     block = np.ones((1 << low, p.n))
     block[:, p.n - low :] = _signs(np.arange(1 << low), low)
+    basis = _scoring_basis(p)
     for code in range(1 << high):
         block[:, 1 : 1 + high] = _signs(np.array([code]), high)
-        yield block, band_metrics(p, block)
+        yield block, _block_metrics(p, basis, block)
 
 
 def exhaustive_search(p: DesignProblem) -> OracleResult:

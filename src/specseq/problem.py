@@ -236,10 +236,23 @@ def band_metrics(p: DesignProblem, signs) -> BandMetrics:
     rows = np.asarray(signs)
     if rows.ndim != 2 or rows.shape[1] != p.n:
         raise LengthMismatchError(f"expected rows of length {p.n}, got shape {rows.shape}")
-    n_m = len(p.message)
+    return _block_metrics(p, _scoring_basis(p), rows)
+
+
+def _scoring_basis(p: DesignProblem) -> np.ndarray:
+    """The real (n, 2 * bins) basis of band_metrics, for callers that score many blocks.
+
+    Its bits do not depend on the block, so a caller builds it once and
+    passes it to _block_metrics with each block.
+    """
     conj = build_partial_dft(p.n, p.message.indices + p.interferer.indices).conj()
-    n_bins = conj.shape[1]
-    basis = np.hstack([conj.real, conj.imag])
+    return np.hstack([conj.real, conj.imag])
+
+
+def _block_metrics(p: DesignProblem, basis: np.ndarray, rows: np.ndarray) -> BandMetrics:
+    """band_metrics of a checked (B, n) block against _scoring_basis(p)."""
+    n_m = len(p.message)
+    n_bins = basis.shape[1] // 2
     if np.iscomplexobj(rows):
         y = np.vstack([rows.real, rows.imag]) @ basis
         y_re, y_im = y[: len(rows)], y[len(rows) :]

@@ -26,19 +26,23 @@ from .problem import (
     DesignProblem,
     MetricBundle,
     ScoreKind,
-    band_metrics,
+    _block_metrics,
+    _scoring_basis,
     build_partial_dft,
     metric_bundle,
 )
 from .sdp import SdpSolution
 
-#: trials are evaluated in fixed-size blocks; block boundaries never
-#: affect results because a Generator's normals are the same however
-#: they are split into calls. A run's largest array is one block of
-#: signs, made once per run (run_design says why). The size also sets
-#: BLAS's block shapes, which can change the bits of a projection, so it
-#: stays fixed
-_CHUNK = 16384
+#: trials are drawn, projected, quantized and scored in blocks of this
+#: many rows, so that beyond retained columns a run's working set is one
+#: (_CHUNK, n) block of signs and its products (8 MiB of signs at
+#: n=1024) whatever the trial count. A Generator's normals are the same
+#: however they are split into calls. The row count sets the shapes of
+#: the projection and of band_metrics' product, for which OpenBLAS may
+#: pick other kernels: projected values and metrics can move in their
+#: last bits with it (no sign moved on any layout checked), so it stays
+#: fixed
+_CHUNK = 1024
 
 #: objective values at or below this are too degenerate to normalize by
 _OBJECTIVE_FLOOR = 1e-12
@@ -108,12 +112,12 @@ def run_design(
     to keep per-trial metric arrays (used by the experiment harnesses); by
     default only the winner and summary statistics are kept.
 
-    A run makes one chunk-sized float array and reuses it: each chunk is
-    projected into it and quantized there, so the normals die at the
-    projection, and with retain=True each chunk's metrics are copied into
-    full-length columns. A call at n=256 with 1e4 trials so peaks at 1.72
-    signs arrays, below the two past which glibc trims its heap top and
-    the next call faults the pages back in (a fifth of a call's time).
+    A run makes one block-sized signs array, its mask and the scoring
+    basis once and reuses them: each block is projected into the signs
+    array and quantized there, so the normals die at the projection, and
+    with retain=True each block's metrics are copied into full-length
+    columns. Beyond those columns the working set does not grow with the
+    trial count.
     """
     factor_t = np.ascontiguousarray(sol.factor.T)
     rng = np.random.Generator(np.random.Philox(key=p.seed))
@@ -126,6 +130,8 @@ def run_design(
     n_feasible = 0
     gamma_min = math.inf
     columns = None
+    # the basis first: its build's temporaries are freed before the blocks are made
+    basis = _scoring_basis(p)
     rows = min(_CHUNK, p.trials)
     buffer = np.empty((rows, p.n))
     mask = np.empty((rows, p.n), dtype=bool)
@@ -140,7 +146,7 @@ def run_design(
         np.greater_equal(signs, 0.0, out=mask[:count])
         np.multiply(mask[:count], 2.0, out=signs)
         np.subtract(signs, 1.0, out=signs)
-        scored = band_metrics(p, signs)
+        scored = _block_metrics(p, basis, signs)
         feasible = scored.feasible
         n_feasible += int(feasible.sum())
         idx, chunk_best = scored.best_feasible(score)

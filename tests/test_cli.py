@@ -211,10 +211,12 @@ class TestMalformedConfig:
             ("FeasibilityVsWidth", [-1]),
             ("BaselineComparison", [0.5]),
             ("OracleComparison", [-50, 64]),
+            # a repeated entry would rerun its point and write its rows twice
+            ("FeasibilityVsWidth", [2, 2]),
         ],
         ids=["beta-scalar-cell", "beta-k-above-n", "oracle-list-entry", "sweep-not-a-list",
              "width-fraction", "width-negative", "baseline-width-fraction",
-             "oracle-negative-trials"],
+             "oracle-negative-trials", "width-repeated"],
     )
     def test_experiment_sweep(self, tmp_path, capsys, kind, sweep):
         path = tmp_path / "exp.json"

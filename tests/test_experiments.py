@@ -1,5 +1,6 @@
 import csv
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -360,10 +361,10 @@ class TestWorkerParallelism:
         asked = []
 
         class SerialPool:
-            """Records the worker count it is asked for and maps in this process."""
+            """Records the worker count and start method it is asked for; maps in this process."""
 
-            def __init__(self, max_workers):
-                asked.append(max_workers)
+            def __init__(self, max_workers, mp_context):
+                asked.append((max_workers, mp_context.get_start_method()))
 
             def __enter__(self):
                 return self
@@ -379,4 +380,14 @@ class TestWorkerParallelism:
         serial = ex.run_experiment(cfg, jobs=1).rows
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         assert ex.run_experiment(cfg, jobs=8).rows == serial
-        assert asked == [2]
+        assert asked == [(2, "spawn")]
+
+    def test_pool_workers_run_one_blas_thread(self, monkeypatch):
+        # os.getenv runs in the spawned workers; the parent's own values,
+        # one set and one unset, are back once the pool is done
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        names = ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"]
+        assert ex._map_jobs(os.getenv, names, jobs=2) == ["1", "1"]
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
+        assert "OMP_NUM_THREADS" not in os.environ

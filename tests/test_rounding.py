@@ -320,21 +320,21 @@ def traced_peak(p, sol, retain):
 
 
 class TestWorkingMemory:
-    @pytest.mark.parametrize("n, message, interferer, trials, retain, bound", [
-        # one signs array, the mask and band_metrics' product and squares:
-        # 1.72 arrays; a projection, a mask and a second signs array at
-        # once took 1.99
-        (256, bins((50, 12), (80, 12)), bins((20, 12), (100, 12)), 10000, False, 1.9),
-        # full-length columns filled in place: 2.17 arrays; per-chunk
-        # columns joined by a copy took 2.64
-        (64, bins((12, 3), (20, 3)), bins((5, 3), (25, 3)), 100000, True, 2.4),
-    ], ids=["n256", "n64-retain"])
-    def test_peak_within_budget(self, n, message, interferer, trials, retain, bound):
-        # in units of one chunk's signs, a (rows, n) float64 array
-        p = make_problem(n, message, interferer, alpha=5.0, trials=trials)
+    @pytest.mark.parametrize("n, message, interferer, alpha, trials, retain, megabytes", [
+        # one block of signs, its mask, the basis and band_metrics' product
+        # and squares: 4.0 MB; 16 384-row chunks took 35.2
+        (256, bins((50, 12), (80, 12)), bins((20, 12), (100, 12)), 5.0, 10000, False, 8.0),
+        # the same plus 3.3 MB of full-length columns: 4.7 MB; 18.2 with
+        # 16 384-row chunks
+        (64, bins((12, 3), (20, 3)), bins((5, 3), (25, 3)), 5.0, 100000, True, 6.5),
+        # the paper layout scaled to n=1024: 19.0 MB, of which the block of
+        # signs is 8.4; 64.6 with 4096-row chunks
+        (1024, bins((200, 48), (320, 48)), bins((80, 48), (400, 48)), 40.0, 4096, False, 32.0),
+    ], ids=["n256", "n64-retain", "n1024"])
+    def test_peak_within_budget(self, n, message, interferer, alpha, trials, retain, megabytes):
+        p = make_problem(n, message, interferer, alpha=alpha, trials=trials)
         sol = solve_relaxation(p)
-        unit = min(rounding._CHUNK, trials) * n * 8
-        assert traced_peak(p, sol, retain) <= bound * unit
+        assert traced_peak(p, sol, retain) <= megabytes * 1e6
 
     def test_winner_is_its_replayed_trial(self, monkeypatch):
         # every chunk's signs are written into one array; the winner must be
