@@ -27,6 +27,8 @@ from .problem import (
     MetricBundle,
     ScoreKind,
     _block_metrics,
+    _interferer_basis,
+    _may_be_feasible,
     _scoring_basis,
     build_partial_dft,
     metric_bundle,
@@ -35,13 +37,15 @@ from .sdp import SdpSolution
 
 #: trials are drawn, projected, quantized and scored in blocks of this
 #: many rows, so that beyond retained columns a run's working set is one
-#: (_CHUNK, n) block of signs and its products (8 MiB of signs at
-#: n=1024) whatever the trial count. A Generator's normals are the same
-#: however they are split into calls. The row count sets the shapes of
-#: the projection and of band_metrics' product, for which OpenBLAS may
-#: pick other kernels: projected values and metrics can move in their
-#: last bits with it (no sign moved on any layout checked), so it stays
-#: fixed
+#: (_CHUNK, n) block of signs, one block of the rows that passed the
+#: interferer screen, and their products (8 MiB a block at n=1024)
+#: whatever the trial count. A Generator's normals are the same however
+#: they are split into calls. The row count sets the shapes of the
+#: projection and of band_metrics' product, for which OpenBLAS picks its
+#: kernels: projected values and metrics can move in their last bits
+#: with it (no sign moved on any layout checked), though not with a row's
+#: place in the block. So it stays fixed, and rows that pass the screen
+#: are scored in blocks of this many rows too
 _CHUNK = 1024
 
 #: objective values at or below this are too degenerate to normalize by
@@ -98,6 +102,40 @@ class DesignResult:
         }
 
 
+class _Selection:
+    """Feasible count, winner and least feasible message power of scored blocks.
+
+    Blocks may come in any order: of equal scores the lower trial wins,
+    as it would in one pass in trial order.
+    """
+
+    def __init__(self, kind: ScoreKind):
+        self.kind = kind
+        self.n_feasible = 0
+        self.least_power = math.inf
+        self.best_score = -math.inf
+        self.best_trial = -1
+        self.best_seq = None
+        self.best_metrics = None
+
+    def add(self, scored: BandMetrics, rows: np.ndarray, trials: np.ndarray) -> int:
+        """Take a block whose row i is trial trials[i]; returns its feasible count."""
+        feasible = scored.feasible
+        count = int(feasible.sum())
+        if count == 0:
+            return 0
+        self.n_feasible += count
+        self.least_power = min(self.least_power, float(scored.message_power[feasible].min()))
+        i, value = scored.best_feasible(self.kind)
+        trial = int(trials[i])
+        if value > self.best_score or (value == self.best_score and trial < self.best_trial):
+            self.best_score, self.best_trial = value, trial
+            # a copy: the next block overwrites the rows
+            self.best_seq = rows[i].astype(np.int8)
+            self.best_metrics = scored.row(i)
+        return count
+
+
 def run_design(
     p: DesignProblem,
     sol: SdpSolution,
@@ -112,29 +150,41 @@ def run_design(
     to keep per-trial metric arrays (used by the experiment harnesses); by
     default only the winner and summary statistics are kept.
 
-    A run makes one block-sized signs array, its mask and the scoring
-    basis once and reuses them: each block is projected into the signs
-    array and quantized there, so the normals die at the projection, and
-    with retain=True each block's metrics are copied into full-length
-    columns. Beyond those columns the working set does not grow with the
-    trial count.
+    A run makes one block-sized signs array and the scoring basis once
+    and reuses them: each block is projected into the signs array and
+    quantized there, so the normals die at the projection, and with
+    retain=True each block's metrics are copied into full-length columns.
+    Beyond those columns the working set does not grow with the trial
+    count.
+
+    Without retain, a run of more than one block screens its full blocks
+    by their interferer power alone (problem._may_be_feasible) while
+    fewer than half of a block's rows pass: the rows that can be
+    feasible are copied into a second block-sized array, made at the
+    first such block, which is scored once it is full and at the end of
+    the run; a block that passes half or more is scored whole. The
+    screen only chooses the rows that reach the scoring kernel; the
+    kernel decides feasibility and computes every reported metric, on a
+    block of the same row count as without the screen, so the result is
+    the same bit for bit.
     """
     factor_t = np.ascontiguousarray(sol.factor.T)
     rng = np.random.Generator(np.random.Philox(key=p.seed))
     objective = sol.objective
-
-    best_score = -math.inf
-    best_seq = None
-    best_metrics = None
-    best_trial = -1
-    n_feasible = 0
-    gamma_min = math.inf
+    selection = _Selection(score)
     columns = None
     # the basis first: its build's temporaries are freed before the blocks are made
     basis = _scoring_basis(p)
     rows = min(_CHUNK, p.trials)
     buffer = np.empty((rows, p.n))
-    mask = np.empty((rows, p.n), dtype=bool)
+    # a lone block gains nothing from the screen: its passed rows are
+    # scored in a block of the same size
+    screen = None
+    if not retain and len(p.interferer) and p.trials > rows:
+        screen = _interferer_basis(p, basis)
+    screening = screen is not None
+    pool = None
+    pending = 0
 
     for start in range(0, p.trials, _CHUNK):
         count = min(_CHUNK, p.trials - start)
@@ -142,36 +192,62 @@ def run_design(
         np.matmul(rng.standard_normal((count, factor_t.shape[0])), factor_t, out=signs)
         # exactly +-1, with -0.0 to +1 and NaN to -1 as the np.where of
         # quantized_principal_eigenvector maps them: the loops of
-        # (w >= 0.0) * 2.0 - 1.0, written in place
-        np.greater_equal(signs, 0.0, out=mask[:count])
-        np.multiply(mask[:count], 2.0, out=signs)
+        # (w >= 0.0) * 2.0 - 1.0, written in place, the comparison's True
+        # and False landing in the block as 1.0 and 0.0
+        np.greater_equal(signs, 0.0, out=signs)
+        np.multiply(signs, 2.0, out=signs)
         np.subtract(signs, 1.0, out=signs)
-        scored = _block_metrics(p, basis, signs)
-        feasible = scored.feasible
-        n_feasible += int(feasible.sum())
-        idx, chunk_best = scored.best_feasible(score)
-        if chunk_best > best_score:
-            best_score = chunk_best
-            # a copy: the next chunk overwrites the buffer
-            best_seq = signs[idx].astype(np.int8)
-            best_metrics = scored.row(idx)
-            best_trial = start + idx
-        if feasible.any() and objective > _OBJECTIVE_FLOOR:
-            gamma_min = min(gamma_min, float(scored.message_power[feasible].min()) / objective)
-        if retain:
-            if columns is None:
-                columns = {
-                    f.name: np.empty(p.trials, getattr(scored, f.name).dtype)
-                    for f in fields(BandMetrics)
-                }
-            for name, column in columns.items():
-                column[start : start + count] = getattr(scored, name)
+        passed = None
+        if screening and count == rows:
+            passed = np.flatnonzero(_may_be_feasible(p, screen, signs))
+        if passed is not None and 2 * passed.size < count:
+            # the kernel's bits for a row depend on the block's row count
+            # (BLAS picks its kernels by shape), not on the row's place in
+            # it, so passed rows are scored in blocks of the full row count
+            if pool is None:
+                # ones: the rows past the last passed one are multiplied too
+                pool = np.ones((rows, p.n))
+                pool_trials = np.empty(rows, dtype=np.intp)
+            kept = passed.size
+            for part in (passed[: rows - pending], passed[rows - pending :]):
+                # mode="clip" (the rows are in range) writes straight into
+                # the pool, where the default buffers the gathered rows
+                np.take(signs, part, axis=0, out=pool[pending : pending + part.size], mode="clip")
+                pool_trials[pending : pending + part.size] = start + part
+                pending += part.size
+                if pending == rows:
+                    selection.add(_block_metrics(p, basis, pool), pool, pool_trials)
+                    pending = 0
+        else:
+            scored = _block_metrics(p, basis, signs)
+            kept = selection.add(scored, signs, np.arange(start, start + count))
+            if retain:
+                if columns is None:
+                    columns = {
+                        f.name: np.empty(p.trials, getattr(scored, f.name).dtype)
+                        for f in fields(BandMetrics)
+                    }
+                for name, column in columns.items():
+                    column[start : start + count] = getattr(scored, name)
+        # the screen pays while most rows fail it; an unscreened block's
+        # feasible rows stand for those it would have passed
+        screening = screen is not None and 2 * kept < count
+
+    if pending:
+        # the whole pool, so that the product has a full block's shape
+        scored = _block_metrics(p, basis, pool)
+        head = {f.name: getattr(scored, f.name)[:pending] for f in fields(BandMetrics)}
+        selection.add(BandMetrics(**head), pool, pool_trials)
 
     best = None
-    if best_seq is not None:
-        gamma = best_metrics.message_power / objective if objective > _OBJECTIVE_FLOOR else None
+    if selection.best_seq is not None:
+        metrics = selection.best_metrics
+        gamma = metrics.message_power / objective if objective > _OBJECTIVE_FLOOR else None
         best = Candidate(
-            sequence=best_seq, metrics=best_metrics, trial_index=best_trial, gamma=gamma
+            sequence=selection.best_seq,
+            metrics=metrics,
+            trial_index=selection.best_trial,
+            gamma=gamma,
         )
 
     table = None
@@ -180,12 +256,18 @@ def run_design(
         gamma_all = f_all / objective if objective > _OBJECTIVE_FLOOR else None
         table = TrialTable(**columns, gamma=gamma_all)
 
+    # division by a positive objective is monotone, so this is the least
+    # feasible gamma bit for bit
+    gamma_min = None
+    if selection.n_feasible and objective > _OBJECTIVE_FLOOR:
+        gamma_min = selection.least_power / objective
+
     return DesignResult(
         best=best,
-        n_feasible=n_feasible,
+        n_feasible=selection.n_feasible,
         n_trials=p.trials,
-        feasibility_rate=n_feasible / p.trials,
-        gamma_min_feasible=None if math.isinf(gamma_min) else gamma_min,
+        feasibility_rate=selection.n_feasible / p.trials,
+        gamma_min_feasible=gamma_min,
         beta=_beta(p, sol),
         score_kind=score,
         trial_table=table,

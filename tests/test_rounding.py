@@ -77,6 +77,20 @@ def random_correlation(rng, n, rank):
     return s
 
 
+@pytest.fixture
+def screened(monkeypatch):
+    """Copies of the blocks run_design screens by interferer power, in order."""
+    blocks = []
+    screen = rounding._may_be_feasible
+
+    def spy(p, basis, rows):
+        blocks.append(rows.copy())
+        return screen(p, basis, rows)
+
+    monkeypatch.setattr(rounding, "_may_be_feasible", spy)
+    return blocks
+
+
 class TestSampleCandidate:
     def test_rank_one_returns_sign_pattern(self):
         s = np.array([1, -1, 1, 1, -1, -1], dtype=float)
@@ -176,21 +190,33 @@ class TestRunDesign:
             for j in range(i):
                 assert not np.array_equal(tables[i], tables[j]), (seeds[i], seeds[j])
 
-    @pytest.mark.parametrize("n, message, interferer, alpha", [
-        (64, README_MESSAGE, README_INTERFERER, 2.0),
-        (16, (2, 3), (6, 7), 1.0),
-    ])
-    def test_matches_plain_replay_bitwise(self, monkeypatch, n, message, interferer, alpha):
+    @pytest.mark.parametrize("retain", [True, False], ids=["retain", "summary"])
+    @pytest.mark.parametrize("n, message, interferer, alpha, chunk, screens", [
+        (64, README_MESSAGE, README_INTERFERER, 2.0, 512, "first"),
+        (16, (2, 3), (6, 7), 1.0, 512, "first"),
+        # under 1% feasible
+        (64, README_MESSAGE, README_INTERFERER, 0.5, 512, "every"),
+        # one interferer bin: BLAS multiplies the narrow screen with other
+        # kernels than the full basis, and on this layout a block of fewer
+        # rows also moves the kernel's bits, so passed rows must be scored
+        # in blocks of the full row count
+        (243, (3, 6, 23, 47, 60, 97, 112, 120), (96,), 0.02, 512, "every"),
+        # blocks of 8 rows, near two thirds feasible
+        (64, README_MESSAGE, README_INTERFERER, 2.0, 8, "toggles"),
+    ], ids=["readme", "n16", "low-feasibility", "one-bin-interferer", "toggling"])
+    def test_matches_plain_replay_bitwise(
+        self, monkeypatch, screened, n, message, interferer, alpha, chunk, screens, retain
+    ):
         # Philox normals over the factor's columns, np.where signs and the plain
         # kernel, chunk by chunk; the last chunk holds a lone row
-        monkeypatch.setattr(rounding, "_CHUNK", 512)
+        monkeypatch.setattr(rounding, "_CHUNK", chunk)
         p = make_problem(n, message, interferer, alpha=alpha, trials=3 * 512 + 1, seed=4242)
         sol = solve_relaxation(p)
         factor_t = np.ascontiguousarray(sol.factor.T)
         rng = np.random.Generator(np.random.Philox(key=p.seed))
         signs, chunks = [], []
-        for start in range(0, p.trials, 512):
-            v = rng.standard_normal((min(512, p.trials - start), factor_t.shape[0]))
+        for start in range(0, p.trials, chunk):
+            v = rng.standard_normal((min(chunk, p.trials - start), factor_t.shape[0]))
             signs.append(np.where(v @ factor_t >= 0.0, 1.0, -1.0))
             chunks.append(plain_band_metrics(p, signs[-1]))
         signs = np.concatenate(signs)
@@ -198,18 +224,41 @@ class TestRunDesign:
             f.name: np.concatenate([getattr(c, f.name) for c in chunks])
             for f in fields(BandMetrics)
         }
-        assert 0 < plain["feasible"].sum() < p.trials
+        feasible = plain["feasible"]
+        assert 0 < feasible.sum() < p.trials
+        # a summary run screens its first block, then each block after one
+        # with fewer than half its rows feasible; a run that retains its
+        # table screens none
+        expected, on = [], not retain
+        for k in range(p.trials // chunk):
+            if on:
+                expected.append(k)
+            on = not retain and 2 * feasible[k * chunk : (k + 1) * chunk].sum() < chunk
         for score in ScoreKind:
-            res = run_design(p, sol, score=score, retain=True)
-            for name, column in plain.items():
-                assert_bitwise(getattr(res.trial_table, name), column)
-            assert_bitwise(res.trial_table.gamma, plain["message_power"] / sol.objective)
-            assert res.n_feasible == int(plain["feasible"].sum())
+            screened.clear()
+            res = run_design(p, sol, score=score, retain=retain)
+            assert len(screened) == len(expected)
+            for block, k in zip(screened, expected):
+                assert_bitwise(block, signs[k * chunk : (k + 1) * chunk])
+            if retain:
+                for name, column in plain.items():
+                    assert_bitwise(getattr(res.trial_table, name), column)
+                assert_bitwise(res.trial_table.gamma, plain["message_power"] / sol.objective)
+            assert res.n_feasible == int(feasible.sum())
             i, _ = BandMetrics(**plain).best_feasible(score)
             assert res.best.trial_index == i
             for name, column in plain.items():
                 assert_bitwise(getattr(res.best.metrics, name), column[i])
             assert_bitwise(res.best.sequence, signs[i].astype(np.int8))
+            assert res.gamma_min_feasible == plain["message_power"][feasible].min() / sol.objective
+            assert res.beta == rounding._beta(p, sol)
+        if not retain:
+            gaps = np.diff(expected)
+            assert {
+                "first": expected == [0],
+                "every": expected == list(range(p.trials // chunk)),
+                "toggles": gaps.size > 0 and gaps.max() > 1,  # off, then on again
+            }[screens]
 
     def test_chunk_size_does_not_change_results(self, monkeypatch):
         p = make_problem(64, README_MESSAGE, README_INTERFERER, alpha=5.0, trials=300, seed=8)
@@ -299,6 +348,81 @@ class TestRunDesign:
                 assert abs(metric_bundle(p, flipped).interferer_power - g0) <= 4 * k + 1e-9
 
 
+def summary(res):
+    """What a run reports besides its trial table, with the winner's sequence."""
+    best = None if res.best is None else res.best.sequence.tobytes()
+    return res.to_json_dict(), best
+
+
+class TestInterfererScreen:
+    """Summary runs screen blocks by interferer power; the kernel still decides."""
+
+    def test_rows_on_the_bound_count_as_unscreened(self, monkeypatch, screened):
+        # alpha set so that the feasibility bound is exactly one trial's
+        # interferer power: the screen, whose product can round above the
+        # kernel's, must still pass that row
+        monkeypatch.setattr(rounding, "_CHUNK", 256)
+        p = make_problem(64, README_MESSAGE, README_INTERFERER, alpha=1.0, trials=4 * 256, seed=7)
+        sol = solve_relaxation(p)
+        g = np.sort(run_design(p, sol, retain=True).trial_table.interferer_power)
+        on_bound = 0
+        for power in g[: g.size // 10 : 7]:
+            alpha = float(power / (1.0 + 1e-9) if power >= 1.0 else power - 1e-9)
+            for _ in range(8):
+                bound = alpha + 1e-9 * max(1.0, alpha)
+                if bound == power:
+                    break
+                alpha = float(np.nextafter(alpha, np.inf if bound < power else -np.inf))
+            else:
+                continue
+            on_bound += 1
+            q = replace(p, alpha=alpha)
+            for score in ScoreKind:
+                screened.clear()
+                res = run_design(q, sol, score=score)
+                assert screened
+                assert summary(res) == summary(run_design(q, sol, score=score, retain=True))
+        assert on_bound >= 3
+
+    def test_ties_go_to_the_lower_trial(self, monkeypatch, screened):
+        # a rank-2 relaxation repeats a few sign patterns, so scores tie
+        # exactly; in blocks of 8 near 40% feasible, passed rows wait in
+        # the pool while later blocks are scored whole, and of equal scores
+        # the lower trial must still win
+        monkeypatch.setattr(rounding, "_CHUNK", 8)
+        for seed in range(26, 37):
+            p = make_problem(16, (2, 3), (6, 7), trials=400, seed=seed)
+            sol = solution_from_matrix(random_correlation(np.random.default_rng(seed), 16, 2), p)
+            g = np.sort(run_design(p, sol, retain=True).trial_table.interferer_power)
+            q = replace(p, alpha=float(g[int(0.4 * g.size)]))
+            for score in ScoreKind:
+                screened.clear()
+                res = run_design(q, sol, score=score)
+                assert 0 < len(screened) < p.trials // 8
+                assert summary(res) == summary(run_design(q, sol, score=score, retain=True))
+
+    def test_no_feasible_trial(self, screened):
+        # the relaxation is feasible but no trial is: every block is screened out
+        p = make_problem(64, README_MESSAGE, README_INTERFERER, alpha=1e-6, trials=3000)
+        sol = solve_relaxation(p)
+        res = run_design(p, sol)
+        assert len(screened) == 2  # the two full blocks; the last is scored whole
+        assert res.best is None
+        assert res.n_feasible == 0
+        assert res.gamma_min_feasible is None
+        assert res.beta == run_design(p, sol, retain=True).beta
+
+    def test_empty_interferer_never_screened(self, monkeypatch, screened):
+        monkeypatch.setattr(rounding, "_CHUNK", 64)
+        p = make_problem(16, (2, 3), (), alpha=0.0, trials=1000, seed=3)
+        sol = solve_relaxation(p)
+        for score in ScoreKind:
+            res = run_design(p, sol, score=score)
+            assert summary(res) == summary(run_design(p, sol, score=score, retain=True))
+        assert res.n_feasible == p.trials
+        assert not screened
+
+
 def bins(*runs):
     return tuple(k for start, width in runs for k in range(start, start + width))
 
@@ -321,14 +445,17 @@ def traced_peak(p, sol, retain):
 
 class TestWorkingMemory:
     @pytest.mark.parametrize("n, message, interferer, alpha, trials, retain, megabytes", [
-        # one block of signs, its mask, the basis and band_metrics' product
-        # and squares: 4.0 MB; 16 384-row chunks took 35.2
+        # 2% feasible, so every block is screened: one block of signs, one
+        # of the rows that passed the screen, the basis and band_metrics'
+        # product and squares: 5.9 MB; 16 384-row chunks took 35.2
         (256, bins((50, 12), (80, 12)), bins((20, 12), (100, 12)), 5.0, 10000, False, 8.0),
-        # the same plus 3.3 MB of full-length columns: 4.7 MB; 18.2 with
+        # unscreened: one block of signs, the basis, band_metrics' product
+        # and squares and 3.3 MB of full-length columns: 4.7 MB; 18.2 with
         # 16 384-row chunks
         (64, bins((12, 3), (20, 3)), bins((5, 3), (25, 3)), 5.0, 100000, True, 6.5),
-        # the paper layout scaled to n=1024: 19.0 MB, of which the block of
-        # signs is 8.4; 64.6 with 4096-row chunks
+        # the paper layout scaled to n=1024, 98% feasible, so the first block
+        # is screened and scored whole and no second block is made: 19.6 MB,
+        # of which the block of signs is 8.4; 64.6 with 4096-row chunks
         (1024, bins((200, 48), (320, 48)), bins((80, 48), (400, 48)), 40.0, 4096, False, 32.0),
     ], ids=["n256", "n64-retain", "n1024"])
     def test_peak_within_budget(self, n, message, interferer, alpha, trials, retain, megabytes):
