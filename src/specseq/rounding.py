@@ -121,7 +121,7 @@ class _Selection:
     def add(self, scored: BandMetrics, rows: np.ndarray, trials: np.ndarray) -> int:
         """Take a block whose row i is trial trials[i]; returns its feasible count."""
         feasible = scored.feasible
-        count = int(feasible.sum())
+        count = int(np.count_nonzero(feasible))
         if count == 0:
             return 0
         self.n_feasible += count

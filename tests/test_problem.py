@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -18,7 +19,7 @@ from specseq import (
     metric_bundle,
     sequence_line,
 )
-from specseq.problem import null_tolerance
+from specseq.problem import _scoring_basis, _sum_rows, null_tolerance
 
 
 def make_problem(n, message, interferer, alpha=1.0, trials=10, seed=0):
@@ -443,6 +444,12 @@ class TestBandMetricsExactness:
             (64, tuple(range(10, 28)), tuple(range(30, 60))),
             (256, tuple(range(20, 68)), tuple(range(100, 140))),
             (64, tuple(range(3, 40)), ()),
+            # bands of 7, 8, 9, 16, 17, 129 and over 256 bins run every
+            # branch of the order in which the power sums are added
+            (64, tuple(range(1, 8)), tuple(range(20, 28))),
+            (64, tuple(range(1, 10)), tuple(range(20, 36))),
+            (320, tuple(range(1, 18)), tuple(range(30, 159))),
+            (640, tuple(range(10, 280)), tuple(range(300, 561))),
         ],
     )
     def test_blocks_match_plain_kernel(self, n, message, interferer):
@@ -476,3 +483,58 @@ class TestBandMetricsExactness:
             expected = plain_band_metrics(p, np.vstack([s])).row(0)
             for f in fields(MetricBundle):
                 assert_bitwise(getattr(actual, f.name), getattr(expected, f.name))
+
+
+class TestSumRows:
+    def test_adds_like_numpy_over_a_row(self):
+        # each column of the (k, B) input is one row of k terms; values
+        # of both signs over thirty orders of magnitude make any change
+        # of order show in the bits
+        rng = np.random.default_rng(5)
+        for k in range(1, 701):
+            rows = rng.standard_normal((3, k)) * 10.0 ** rng.uniform(-15, 15, (3, k))
+            assert_bitwise(_sum_rows(np.ascontiguousarray(rows.T)), np.add.reduce(rows, axis=1))
+
+    def test_no_rows_sum_to_zero(self):
+        assert_bitwise(_sum_rows(np.empty((0, 4))), np.zeros(4))
+
+
+def tracemalloc_peak(build):
+    """Bytes build() holds at its peak, beyond what was live before."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        build()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+class TestScoringBasis:
+    @pytest.mark.parametrize(
+        "n, message, interferer",
+        [
+            (16, (2, 3), (6, 7)),
+            (64, tuple(range(0, 32)), tuple(range(32, 64))),  # one whole chunk of columns
+            (200, tuple(range(1, 65)), tuple(range(70, 134))),  # two whole chunks
+            (256, tuple(range(20, 68)), tuple(range(100, 148))),  # 96 bins: a part chunk
+            (640, tuple(range(10, 280)), tuple(range(300, 561))),
+            (9, (0, 4), ()),
+        ],
+    )
+    def test_equals_unchunked_expression(self, n, message, interferer):
+        p = make_problem(n, message, interferer)
+        conj = build_partial_dft(n, message + interferer).conj()
+        assert_bitwise(_scoring_basis(p), np.hstack([conj.real, conj.imag]))
+
+    def test_peak_within_budget(self):
+        # the paper layout scaled to n=4096: a 50.3 MB basis of 768 bins
+        # peaks at 63.0 MB built a chunk of columns at a time, and at
+        # 100.7 MB built from all columns at once
+        p = make_problem(4096, tuple(range(800, 992)) + tuple(range(1280, 1472)),
+                         tuple(range(320, 512)) + tuple(range(1600, 1792)), alpha=160.0)
+        assert tracemalloc_peak(lambda: _scoring_basis(p)) <= 72e6

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -24,7 +23,7 @@ from specseq import (
 from specseq import rounding
 from specseq.sdp import SdpSolution, circulant
 from helpers import sample_candidate
-from test_problem import assert_bitwise, plain_band_metrics
+from test_problem import assert_bitwise, plain_band_metrics, tracemalloc_peak
 
 
 def make_problem(n, message, interferer, alpha=1.0, trials=100, seed=0):
@@ -430,17 +429,7 @@ def bins(*runs):
 def traced_peak(p, sol, retain):
     """Bytes a run_design call holds at its peak, beyond what was live before."""
     run_design(p, sol, retain=retain)  # first-call allocations are not the working set
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        run_design(p, sol, retain=retain)
-        return tracemalloc.get_traced_memory()[1] - before
-    finally:
-        if not tracing:
-            tracemalloc.stop()
+    return tracemalloc_peak(lambda: run_design(p, sol, retain=retain))
 
 
 class TestWorkingMemory:
