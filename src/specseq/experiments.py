@@ -7,9 +7,9 @@ experiment seed in a fixed order, so reports are bit-identical across
 reruns regardless of worker parallelism (wall-clock columns excepted).
 
 Desk-scale defaults (n=64, 1e4 trials) take under a second each in one
-worker process, except BaselineComparison at about 17 s (one run on a
-shared 2-core x86 box); paper_scale=True switches to the full n=128
-configurations.
+worker process, except BaselineComparison at about 32 s (one run at
+jobs=1 on a shared 2-core Intel Xeon box, as in README.md);
+paper_scale=True switches to the full n=128 configurations.
 """
 
 from __future__ import annotations
