@@ -279,6 +279,18 @@ class TestExperimentCommand:
         assert target.exists()
         assert "rows" in out
 
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_exit_1(self, tmp_path, capsys, jobs):
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps({"kind": "BetaDistribution", "sweep": [[16, 2, 2]],
+                                   "repetitions": 10}))
+        out_path = tmp_path / "beta.csv"
+        code, out, err = run_cli(capsys, "experiment", str(cfg), "--jobs", jobs,
+                                 "--output", str(out_path))
+        assert code == 1 and out == "" and not out_path.exists()
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert f"jobs must be at least 1, got {jobs}" in err
+
     def test_output_flag_and_determinism(self, tmp_path, capsys):
         cfg = tmp_path / "exp.json"
         cfg.write_text(
