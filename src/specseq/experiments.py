@@ -64,7 +64,9 @@ class ExperimentConfig:
     A sweep lists numbers (FeasibilityVsAlpha, RatioHistogram), [n, K, R]
     integer cells with 1 <= K <= n and R >= 1 (BetaDistribution), or
     integers of at least 1, the widths or trial counts of the other kinds,
-    and no entry twice.
+    and no entry twice. Only BetaDistribution, OracleComparison and
+    BaselineComparison read repetitions; the other kinds run each sweep
+    point once and only echo it into the CSV.
     """
 
     kind: ExperimentKind

@@ -3,11 +3,12 @@
 Negating a sequence changes no metric, so the first entry is fixed to +1
 and only 2^(n-1) sequences are visited. They are enumerated in
 lexicographic order (-1 before +1) in blocks of 2^12 rows, and each
-block is scored by problem.band_metrics' kernel, so the oracle applies
-the same metric, null and feasibility rules as the design it judges. Within a
-block the first maximum wins and across blocks only a strictly larger
-score replaces the best, so of scores that are equal as floats the
-lexicographically smaller sequence wins. Scores that are equal in exact
+block is scored by problem.band_metrics' kernel and picked from by the
+design's selection (rounding._Selection), a sequence's rank in that
+order being its trial index. So the oracle applies the same metric,
+null, feasibility and selection rules as the design it judges, and of
+scores that are equal as floats the lexicographically smaller sequence
+wins. Scores that are equal in exact
 arithmetic but apart by roundoff go to the larger float, whichever
 sequence that is; an exact tie rule is left to the orbit oracle. Each
 optimum is reported with the metrics of the block row that selected it.
@@ -21,6 +22,7 @@ import numpy as np
 
 from .errors import NoFeasibleError, SizeLimitError
 from .problem import DesignProblem, ScoreKind, _block_metrics, _scoring_basis
+from .rounding import _Selection
 
 DEFAULT_LIMIT = 24
 
@@ -73,24 +75,21 @@ def exhaustive_search(p: DesignProblem) -> OracleResult:
     Raises SizeLimitError when p.n exceeds DEFAULT_LIMIT and
     NoFeasibleError when no sequence satisfies the interferer bound.
     """
-    best = {kind: (-np.inf, None) for kind in ScoreKind}
-    n_feasible = 0
-    for block, metrics in _enumerate(p):
-        n_feasible += int(metrics.feasible.sum())
-        for kind in ScoreKind:
-            idx, score = metrics.best_feasible(kind)
-            if score > best[kind][0]:
-                # keep the block row the optimum was selected by, not a re-score
-                best[kind] = (score, (block[idx].astype(np.int8), metrics.row(idx)))
+    power = _Selection(ScoreKind.MESSAGE_POWER)
+    rho = _Selection(ScoreKind.REJECTION_RATIO)
+    chi = _Selection(ScoreKind.RECIPROCAL_DYNAMIC_RANGE)
+    for i, (block, metrics) in enumerate(_enumerate(p)):
+        for selection in (power, rho, chi):
+            selection.add(metrics, block, np.arange(i * len(block), (i + 1) * len(block)))
 
-    if n_feasible == 0:
+    if power.n_feasible == 0:
         raise NoFeasibleError(f"no binary sequence has interferer power <= {p.alpha}")
 
     return OracleResult(
-        best_by_power=best[ScoreKind.MESSAGE_POWER][1],
-        best_by_rho=best[ScoreKind.REJECTION_RATIO][1],
-        best_by_chi=best[ScoreKind.RECIPROCAL_DYNAMIC_RANGE][1],
-        n_feasible=n_feasible,
+        best_by_power=(power.best_seq, power.best_metrics),
+        best_by_rho=(rho.best_seq, rho.best_metrics),
+        best_by_chi=(chi.best_seq, chi.best_metrics),
+        n_feasible=power.n_feasible,
         n_enumerated=1 << (p.n - 1),
     )
 

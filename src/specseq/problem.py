@@ -224,9 +224,7 @@ def band_metrics(p: DesignProblem, signs) -> BandMetrics:
     basis [Re C_M | Re C_I | Im C_M | Im C_I], with C the conjugated
     partial DFT columns, gives both bands in a single product. The
     squared magnitudes are laid out bins-major and every metric reduces
-    over the bins; the power sums add in the order np.add.reduce adds a
-    row, so each row's metrics are bitwise those of the plain row-wise
-    expression on the same product.
+    over the bins; the power sums add bin after bin in band order.
 
     A row is feasible when its interferer power is at most
     alpha + 1e-9 * max(1, alpha): sequences whose exact power equals
@@ -310,36 +308,6 @@ def _may_be_feasible(p: DesignProblem, screen: np.ndarray, rows: np.ndarray) -> 
     return g <= bound + margin
 
 
-def _sum_rows(a: np.ndarray) -> np.ndarray:
-    """The sums over axis 0 of a (k, B) array, each added as np.add.reduce adds a row of k.
-
-    numpy sums a contiguous row pairwise: term after term below 8 terms,
-    into eight interleaved accumulators combined as ((r0+r1) + (r2+r3)) +
-    ((r4+r5) + (r6+r7)) and then the last k % 8 terms up to 128 terms, and
-    above that the sums of the first n2 and the other k - n2 terms, n2
-    being k // 2 rounded down to a multiple of 8. Here each step adds
-    whole rows of B columns, so a column's sum has the bits of
-    np.add.reduce over that column as one contiguous row. (numpy adds
-    the result to +0.0, which changes only a sum of -0.0.)
-    """
-    k = len(a)
-    if k < 8:
-        # from +0.0, one row after another, whichever axis numpy loops over
-        return np.add.reduce(a, axis=0)
-    if k > 128:
-        half = k // 2 - k // 2 % 8
-        return _sum_rows(a[:half]) + _sum_rows(a[half:])
-    full = k - k % 8
-    acc = a[:8].copy()
-    for i in range(8, full, 8):
-        acc += a[i : i + 8]
-    pairs = acc[0::2] + acc[1::2]
-    total = (pairs[0] + pairs[1]) + (pairs[2] + pairs[3])
-    for row in a[full:]:
-        total += row
-    return total
-
-
 #: bytes of the squared product that _block_metrics turns bins-major in
 #: one go: a slab of rows that stays in cache while it is read bin by bin
 #: (the kernel's time at n=4096 with 768 bins, against one slab: -7%)
@@ -353,33 +321,37 @@ def _block_metrics(p: DesignProblem, basis: np.ndarray, rows: np.ndarray) -> Ban
     every per-row quantity reduces over its axis 0, whose rows are long
     and contiguous. The band extremes take the root after reducing: a
     correctly rounded sqrt is monotone, so they equal the extremes of the
-    roots bit for bit. The power sums add in np.add.reduce's order over a
-    row (_sum_rows), so they equal the row-wise sums bit for bit.
+    roots bit for bit. The power sums add bin after bin in band order.
+
+    A lone row is scored as a block of two equal rows, its metrics sliced
+    back to one row: numpy would hand a (1, n) product to gemv, not gemm,
+    and reduce a (bins, 1) array pairwise, not bin after bin. This gives
+    a lone row the product shape of the plain expression, not the bits
+    of the same row inside a larger block (BLAS picks its kernels by
+    shape), which is why a design's winner keeps its block row's metrics.
     """
     n_m = len(p.message)
     n_bins = basis.shape[1] // 2
+    lone = len(rows) == 1
     if np.iscomplexobj(rows):
         y = np.vstack([rows.real, rows.imag]) @ basis
-        y_re, y_im = y[: len(rows)], y[len(rows) :]
+        y_re, y_im = (y[[0, 0]], y[[1, 1]]) if lone else (y[: len(rows)], y[len(rows) :])
         re = y_re[:, :n_bins] - y_im[:, n_bins:]
         im = y_re[:, n_bins:] + y_im[:, :n_bins]
         np.square(re, out=re)
         np.square(im, out=im)
     else:
-        # numpy hands a lone row to gemv, which sums in another order than
-        # the gemm that multiplies a block; a lone row goes in as a block
-        # of two so that metric_bundle scores like the blocks of run_design
-        y = (np.vstack([rows, rows]) if len(rows) == 1 else rows) @ basis
+        y = (np.vstack([rows, rows]) if lone else rows) @ basis
         # the product is this call's own, so it is squared in place: x**2
         # is np.square, so the bits are those of re**2 + im**2
         np.square(y, out=y)
-        re, im = y[: len(rows), :n_bins], y[: len(rows), n_bins:]
+        re, im = y[:, :n_bins], y[:, n_bins:]
     # the sum is elementwise, so its bits do not depend on the layout; it
     # reads the row-major squares a slab of rows at a time, which stays in
     # cache while every bin of it is read
-    by_bin = np.empty((n_bins, len(rows)))
+    by_bin = np.empty((n_bins, len(re)))
     step = max(1, _SLAB_BYTES // (16 * n_bins))
-    for start in range(0, len(rows), step):
+    for start in range(0, len(re), step):
         part = slice(start, start + step)
         np.add(re[part].T, im[part].T, out=by_bin[:, part])
     del y, re, im
@@ -392,14 +364,19 @@ def _block_metrics(p: DesignProblem, basis: np.ndarray, rows: np.ndarray) -> Ban
     rho = np.where(
         null_i, np.where(min_m > tol, np.inf, 0.0), min_m / np.where(null_i, 1.0, max_i)
     )
-    g = _sum_rows(by_bin[n_m:])
-    return BandMetrics(
-        message_power=_sum_rows(by_bin[:n_m]),
+    # over two or more contiguous columns numpy adds the bins one after
+    # another, each into every column at once
+    g = np.add.reduce(by_bin[n_m:], axis=0)
+    metrics = BandMetrics(
+        message_power=np.add.reduce(by_bin[:n_m], axis=0),
         interferer_power=g,
         rejection_ratio=rho,
         reciprocal_dynamic_range=np.where(null_m, 0.0, min_m / np.where(null_m, 1.0, max_m)),
         feasible=g <= _feasibility_bound(p),
     )
+    if lone:
+        return BandMetrics(**{f.name: getattr(metrics, f.name)[:1] for f in fields(BandMetrics)})
+    return metrics
 
 
 def metric_bundle(p: DesignProblem, s) -> MetricBundle:

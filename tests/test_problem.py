@@ -19,7 +19,7 @@ from specseq import (
     metric_bundle,
     sequence_line,
 )
-from specseq.problem import _scoring_basis, _sum_rows, null_tolerance
+from specseq.problem import _block_metrics, _scoring_basis, null_tolerance
 
 
 def make_problem(n, message, interferer, alpha=1.0, trials=10, seed=0):
@@ -376,6 +376,14 @@ class TestBandMetrics:
             metric_bundle(make_problem(8, (), (2,)), np.ones(8))
 
 
+def add_bin_after_bin(sq):
+    """The sum of each row of sq, its bins added one after another in band order."""
+    total = np.zeros(len(sq))
+    for column in sq.T:
+        total = total + column
+    return total
+
+
 def plain_band_metrics(p, signs):
     """band_metrics by its plain expression: roots of every bin, row-wise extremes."""
     rows = np.asarray(signs)
@@ -403,9 +411,9 @@ def plain_band_metrics(p, signs):
     rho = np.where(
         null_i, np.where(min_m > tol, np.inf, 0.0), min_m / np.where(null_i, 1.0, max_i)
     )
-    g = sq[:, n_m:].sum(axis=1)
+    g = add_bin_after_bin(sq[:, n_m:])
     return BandMetrics(
-        message_power=sq[:, :n_m].sum(axis=1),
+        message_power=add_bin_after_bin(sq[:, :n_m]),
         interferer_power=g,
         rejection_ratio=rho,
         reciprocal_dynamic_range=np.where(null_m, 0.0, min_m / np.where(null_m, 1.0, max_m)),
@@ -444,8 +452,8 @@ class TestBandMetricsExactness:
             (64, tuple(range(10, 28)), tuple(range(30, 60))),
             (256, tuple(range(20, 68)), tuple(range(100, 140))),
             (64, tuple(range(3, 40)), ()),
-            # bands of 7, 8, 9, 16, 17, 129 and over 256 bins run every
-            # branch of the order in which the power sums are added
+            # bands of 7, 8, 9, 16, 17, 129 and over 256 bins, where numpy's
+            # pairwise sum of a contiguous row would change its order
             (64, tuple(range(1, 8)), tuple(range(20, 28))),
             (64, tuple(range(1, 10)), tuple(range(20, 36))),
             (320, tuple(range(1, 18)), tuple(range(30, 159))),
@@ -462,6 +470,34 @@ class TestBandMetricsExactness:
             actual, expected = band_metrics(p, block), plain_band_metrics(p, block)
             for f in fields(BandMetrics):
                 assert_bitwise(getattr(actual, f.name), getattr(expected, f.name))
+
+    def test_power_sums_add_bin_after_bin(self):
+        # every band width from 1 to 300, past 8, 128 and 256 bins, where
+        # numpy's pairwise sum of a contiguous row changes its order: of
+        # 301 bins, the message band takes the first w
+        n, bins = 320, 301
+        rng = np.random.default_rng(29)
+        block = rng.integers(0, 2, (40, n)) * 2.0 - 1.0
+        unimodular = np.exp(2j * np.pi * rng.random((1, n)))
+        for w in range(1, bins):
+            p = make_problem(n, tuple(range(1, 1 + w)), tuple(range(1 + w, 1 + bins)))
+            # one basis for the kernel and the reference: building it per
+            # call would take most of the time
+            basis = _scoring_basis(p)
+            # the products of plain_band_metrics, a lone row in two rows
+            y = block @ basis
+            y_lone = np.vstack([block[:1], block[:1]]) @ basis
+            y_uni = np.vstack([unimodular.real, unimodular.imag]) @ basis
+            cases = [
+                (block, y[:, :bins] ** 2 + y[:, bins:] ** 2),
+                (block[:1], y_lone[:1, :bins] ** 2 + y_lone[:1, bins:] ** 2),
+                (unimodular, (y_uni[:1, :bins] - y_uni[1:, bins:]) ** 2
+                 + (y_uni[:1, bins:] + y_uni[1:, :bins]) ** 2),
+            ]
+            for rows, sq in cases:
+                actual = _block_metrics(p, basis, rows)
+                assert_bitwise(actual.message_power, add_bin_after_bin(sq[:, :w]))
+                assert_bitwise(actual.interferer_power, add_bin_after_bin(sq[:, w:]))
 
     @pytest.mark.parametrize(
         "n, message, interferer",
@@ -483,20 +519,6 @@ class TestBandMetricsExactness:
             expected = plain_band_metrics(p, np.vstack([s])).row(0)
             for f in fields(MetricBundle):
                 assert_bitwise(getattr(actual, f.name), getattr(expected, f.name))
-
-
-class TestSumRows:
-    def test_adds_like_numpy_over_a_row(self):
-        # each column of the (k, B) input is one row of k terms; values
-        # of both signs over thirty orders of magnitude make any change
-        # of order show in the bits
-        rng = np.random.default_rng(5)
-        for k in range(1, 701):
-            rows = rng.standard_normal((3, k)) * 10.0 ** rng.uniform(-15, 15, (3, k))
-            assert_bitwise(_sum_rows(np.ascontiguousarray(rows.T)), np.add.reduce(rows, axis=1))
-
-    def test_no_rows_sum_to_zero(self):
-        assert_bitwise(_sum_rows(np.empty((0, 4))), np.zeros(4))
 
 
 def tracemalloc_peak(build):
