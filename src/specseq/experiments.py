@@ -7,7 +7,7 @@ experiment seed in a fixed order, so reports are bit-identical across
 reruns regardless of worker parallelism (wall-clock columns excepted).
 
 Desk-scale defaults (n=64, 1e4 trials) take under a second each in one
-worker process, except BaselineComparison at about 32 s (one run at
+worker process, except BaselineComparison at 32-33 s (three runs at
 jobs=1 on a shared 2-core Intel Xeon box, as in README.md);
 paper_scale=True switches to the full n=128 configurations.
 """
@@ -29,7 +29,7 @@ import numpy as np
 from . import baselines, oracle, rounding, sdp
 from ._version import __version__
 from .errors import DivergenceError, InfeasibleRelaxationError, NoFeasibleError
-from .problem import BandSpec, DesignProblem, ScoreKind, _block_metrics, _scoring_basis, json_int
+from .problem import BandSpec, DesignProblem, ScoreKind, _is_integer, json_int
 
 #: reference length the published band layouts are given for
 _REFERENCE_N = 128
@@ -64,7 +64,9 @@ class ExperimentConfig:
     A sweep lists numbers (FeasibilityVsAlpha, RatioHistogram), [n, K, R]
     integer cells with 1 <= K <= n and R >= 1 (BetaDistribution), or
     integers of at least 1, the widths or trial counts of the other kinds,
-    and no entry twice. Only BetaDistribution, OracleComparison and
+    and no entry twice. repetitions is an integer of at least 1 (a numpy
+    integer will do; a bool will not), and the seed is checked as the
+    problem's. Only BetaDistribution, OracleComparison and
     BaselineComparison read repetitions; the other kinds run each sweep
     point once and only echo it into the CSV.
     """
@@ -81,8 +83,8 @@ class ExperimentConfig:
         object.__setattr__(self, "sweep", tuple(map(self._read_entry, self.sweep)))
         if len(set(self.sweep)) != len(self.sweep):
             raise ValueError(f"sweep of {self.kind.value} repeats an entry: {self.sweep!r}")
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be at least 1")
+        if not _is_integer(self.repetitions) or self.repetitions < 1:
+            raise ValueError(f"repetitions must be an integer of at least 1: {self.repetitions!r}")
         # the experiment seed keys every draw, the problem's rounding draws included
         object.__setattr__(self, "problem", replace(self.problem, seed=self.seed))
 
@@ -90,7 +92,7 @@ class ExperimentConfig:
         """A sweep entry as the kind's harness reads it; ValueError if it is not one."""
 
         def count(x):
-            return isinstance(x, numbers.Integral) and not isinstance(x, bool) and x >= 1
+            return _is_integer(x) and x >= 1
 
         if self.kind is ExperimentKind.BETA_DISTRIBUTION:
             if isinstance(v, (tuple, list)) and len(v) == 3 and all(map(count, v)) and v[1] <= v[0]:
@@ -329,26 +331,20 @@ def _mean_se(values) -> tuple:
     return mean, se
 
 
-def _uniform_metrics(p: DesignProblem, count: int, rng) -> tuple:
-    """Message powers and feasibility of `count` uniform +-1 sequences.
+def _uniform_rows(p: DesignProblem, seed: int, retain: bool = False) -> tuple:
+    """p.trials uniform +-1 rows of default_rng(seed) through rounding._score_blocks.
 
-    They are scored in blocks of rounding._CHUNK rows, each block's signs
-    going into one float array made once, as in rounding.run_design; the
-    draws stay int64, whose stream they are.
+    Returns their rounding._Selection and, with retain, their metric
+    columns. The draws stay int64, whose stream they are.
     """
-    block = rounding._CHUNK
-    f = np.empty(count)
-    feasible = np.empty(count, dtype=bool)
-    buffer = np.empty((min(block, count), p.n))
-    basis = _scoring_basis(p)
-    for done in range(0, count, block):
-        signs = buffer[: min(block, count - done)]
-        np.multiply(rng.integers(0, 2, size=signs.shape), 2.0, out=signs)
-        np.subtract(signs, 1.0, out=signs)
-        metrics = _block_metrics(p, basis, signs)
-        f[done : done + len(signs)] = metrics.message_power
-        feasible[done : done + len(signs)] = metrics.feasible
-    return f, feasible
+    rng = np.random.default_rng(seed)
+
+    def fill(block, start):
+        np.multiply(rng.integers(0, 2, size=block.shape), 2.0, out=block)
+        np.subtract(block, 1.0, out=block)
+
+    selection = rounding._Selection(ScoreKind.MESSAGE_POWER)
+    return selection, rounding._score_blocks(p, fill, (selection,), retain)
 
 
 # ----------------------------------------------------------------------
@@ -368,8 +364,7 @@ def _feasibility_point(args):
     k = len(p.interferer)
     threshold = (res.beta + 1.0) * p.alpha / math.pi
     exceed = float(np.mean(table.interferer_power >= threshold)) if k else 0.0
-    _, uniform_feasible = _uniform_metrics(p, p.trials, np.random.default_rng(uniform_seed))
-    uniform_rate = float(np.mean(uniform_feasible))
+    uniform_rate = _uniform_rows(p, uniform_seed)[0].n_feasible / p.trials
     rows = [
         _stat(sweep_value, "rounded_feasible_rate", rate, _binomial_se(rate, p.trials)),
         _stat(sweep_value, "uniform_feasible_rate", uniform_rate,
@@ -421,10 +416,8 @@ def _ratio_histogram(cfg: ExperimentConfig, jobs: int) -> list:
     centers = (edges[:-1] + edges[1:]) / 2.0
 
     feasible_gamma = table.gamma[table.feasible]
-    f_u, uniform_feasible = _uniform_metrics(
-        p, p.trials, np.random.default_rng(_child_seed(root, 0))
-    )
-    uniform_gamma = f_u[uniform_feasible] / sol.objective
+    uniform, columns = _uniform_rows(p, _child_seed(root, 0), retain=True)
+    uniform_gamma = columns["message_power"][columns["feasible"]] / sol.objective
     rows = []
     for statistic, gamma in (
         ("rounded_gamma_count", feasible_gamma), ("uniform_gamma_count", uniform_gamma)
@@ -442,7 +435,7 @@ def _ratio_histogram(cfg: ExperimentConfig, jobs: int) -> list:
         ("eigenvector_feasible", float(eig.metrics.feasible)),
         ("uniform_mean_gamma", float(np.mean(uniform_gamma)) if uniform_gamma.size else None),
         ("n_feasible", res.n_feasible),
-        ("uniform_n_feasible", int(uniform_feasible.sum())),
+        ("uniform_n_feasible", uniform.n_feasible),
         ("relaxation_objective", sol.objective),
     ]
     rows.extend(_stat(None, name, value) for name, value in scalars)

@@ -2,16 +2,15 @@
 
 Negating a sequence changes no metric, so the first entry is fixed to +1
 and only 2^(n-1) sequences are visited. They are enumerated in
-lexicographic order (-1 before +1) in blocks of 2^12 rows, and each
-block is scored by problem.band_metrics' kernel and picked from by the
-design's selection (rounding._Selection), a sequence's rank in that
-order being its trial index. So the oracle applies the same metric,
-null, feasibility and selection rules as the design it judges, and of
-scores that are equal as floats the lexicographically smaller sequence
-wins. Scores that are equal in exact
-arithmetic but apart by roundoff go to the larger float, whichever
-sequence that is; an exact tie rule is left to the orbit oracle. Each
-optimum is reported with the metrics of the block row that selected it.
+lexicographic order (-1 before +1) into the design's blocked scorer
+(rounding._score_blocks), a sequence's rank in that order being its
+trial index. So the oracle applies the same metric, null, feasibility
+and selection rules as the design it judges, and of scores that are
+equal as floats the lexicographically smaller sequence wins. Scores that
+are equal in exact arithmetic but apart by roundoff go to the larger
+float, whichever sequence that is; an exact tie rule is left to the
+orbit oracle. Each optimum is reported with the metrics of the block row
+that selected it.
 """
 
 from __future__ import annotations
@@ -21,13 +20,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NoFeasibleError, SizeLimitError
-from .problem import DesignProblem, ScoreKind, _block_metrics, _scoring_basis
-from .rounding import _Selection
+from .problem import DesignProblem, ScoreKind
+from .rounding import _score_blocks, _Selection
 
 DEFAULT_LIMIT = 24
-
-#: sequences enumerated per block are 2^_BLOCK_BITS
-_BLOCK_BITS = 12
 
 
 @dataclass(frozen=True)
@@ -53,35 +49,35 @@ def check_size(n: int) -> None:
         raise SizeLimitError(f"n={n} exceeds exhaustive-search limit {DEFAULT_LIMIT}")
 
 
-def _enumerate(p: DesignProblem):
-    """Yield (block, band_metrics of block) over all sequences with s_0 = +1.
-
-    The block array is reused between steps; copy any row kept.
-    """
-    check_size(p.n)
-    low = min(p.n - 1, _BLOCK_BITS)
-    high = p.n - 1 - low
-    block = np.ones((1 << low, p.n))
-    block[:, p.n - low :] = _signs(np.arange(1 << low), low)
-    basis = _scoring_basis(p)
-    for code in range(1 << high):
-        block[:, 1 : 1 + high] = _signs(np.array([code]), high)
-        yield block, _block_metrics(p, basis, block)
-
-
 def exhaustive_search(p: DesignProblem) -> OracleResult:
     """Enumerate every binary sequence and return the feasible optima.
 
     Raises SizeLimitError when p.n exceeds DEFAULT_LIMIT and
     NoFeasibleError when no sequence satisfies the interferer bound.
     """
-    power = _Selection(ScoreKind.MESSAGE_POWER)
-    rho = _Selection(ScoreKind.REJECTION_RATIO)
-    chi = _Selection(ScoreKind.RECIPROCAL_DYNAMIC_RANGE)
-    for i, (block, metrics) in enumerate(_enumerate(p)):
-        for selection in (power, rho, chi):
-            selection.add(metrics, block, np.arange(i * len(block), (i + 1) * len(block)))
+    check_size(p.n)
+    width = p.n - 1
+    # template rows hold s_0 = +1 and the low 10 bits of ranks 0 .. 1023,
+    # high the signs of every value of the bits above them
+    low = min(width, 10)
+    template = np.ones((1 << low, p.n))
+    template[:, p.n - low :] = _signs(np.arange(1 << low), low)
+    high = _signs(np.arange(1 << (width - low)), width - low)
 
+    def fill(block, start):
+        # ranks that share their high bits copy a run of template rows
+        done = 0
+        while done < len(block):
+            rank = start + done
+            offset = rank % len(template)
+            part = block[done : done + len(template) - offset]
+            part[:] = template[offset : offset + len(part)]
+            part[:, 1 : p.n - low] = high[rank >> low]
+            done += len(part)
+
+    selections = [_Selection(kind) for kind in ScoreKind]
+    _score_blocks(replace(p, trials=1 << width), fill, selections)
+    power, rho, chi = selections
     if power.n_feasible == 0:
         raise NoFeasibleError(f"no binary sequence has interferer power <= {p.alpha}")
 
@@ -90,7 +86,7 @@ def exhaustive_search(p: DesignProblem) -> OracleResult:
         best_by_rho=(rho.best_seq, rho.best_metrics),
         best_by_chi=(chi.best_seq, chi.best_metrics),
         n_feasible=power.n_feasible,
-        n_enumerated=1 << (p.n - 1),
+        n_enumerated=1 << width,
     )
 
 

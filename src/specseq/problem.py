@@ -19,6 +19,11 @@ import numpy as np
 from .errors import EmptyMessageError, LengthMismatchError, OverlapError
 
 
+def _is_integer(value) -> bool:
+    """Whether value is an integer, a numpy one included; true and false are not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, (bool, np.bool_))
+
+
 def json_int(data: dict, name: str, default=None) -> int:
     """data[name], or default when absent, if it is a JSON integer (true and false are not)."""
     value = data.get(name, default)
@@ -43,7 +48,7 @@ class BandSpec:
 
     def __post_init__(self):
         for k in self.indices:
-            if isinstance(k, (bool, np.bool_)) or not isinstance(k, numbers.Integral):
+            if not _is_integer(k):
                 raise ValueError(f"frequency bin must be an integer: {k!r}")
         idx = tuple(int(k) for k in self.indices)
         if any(k < 0 for k in idx):
@@ -69,11 +74,13 @@ class DesignProblem:
     Checked when built, whether by the constructor, dataclasses.replace or
     from_json_dict, so no stage checks it again. Raises OverlapError if
     the bands intersect, IndexError if any bin falls outside [0, n),
-    EmptyMessageError if the message band is empty, and ValueError for
-    non-positive sizes or a negative or NaN tolerance. A message bin k
-    whose mirror n-k is an interferer bin is accepted: a real sequence
-    has |X_k| == |X_(n-k)|, so that pair puts equal power into both
-    bands, and the relaxation prices it through the bound.
+    EmptyMessageError if the message band is empty, and ValueError for a
+    length, trial count or seed that is not an integer (a numpy one is
+    stored as int, a bool is rejected), non-positive sizes, a seed outside
+    64 bits or a negative or NaN tolerance. A message bin k whose mirror
+    n-k is an interferer bin is accepted: a real sequence has |X_k| ==
+    |X_(n-k)|, so that pair puts equal power into both bands, and the
+    relaxation prices it through the bound.
     """
 
     n: int
@@ -84,6 +91,11 @@ class DesignProblem:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n", "trials", "seed"):
+            value = getattr(self, name)
+            if not _is_integer(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.n < 1:
             raise ValueError(f"sequence length must be positive, got {self.n}")
         if self.trials < 1:

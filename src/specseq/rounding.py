@@ -35,17 +35,17 @@ from .problem import (
 )
 from .sdp import SdpSolution
 
-#: trials are drawn, projected, quantized and scored in blocks of this
-#: many rows, so that beyond retained columns a run's working set is one
-#: (_CHUNK, n) block of signs, one block of the rows that passed the
-#: interferer screen, and their products (8 MiB a block at n=1024)
-#: whatever the trial count. A Generator's normals are the same however
-#: they are split into calls. The row count sets the shapes of the
-#: projection and of band_metrics' product, for which OpenBLAS picks its
-#: kernels: projected values and metrics can move in their last bits
-#: with it (no sign moved on any layout checked), though not with a row's
-#: place in the block. So it stays fixed, and rows that pass the screen
-#: are scored in blocks of this many rows too
+#: _score_blocks writes and scores its rows (rounded trials, uniform draws
+#: or enumerated sequences) in blocks of this many rows, so that beyond
+#: retained columns its working set is one (_CHUNK, n) block of signs, one
+#: block of the rows that passed the interferer screen, and their products
+#: (8 MiB a block at n=1024) whatever the row count. A Generator's normals
+#: are the same however they are split into calls. The row count sets the
+#: shapes of the projection and of band_metrics' product, for which
+#: OpenBLAS picks its kernels: projected values and metrics can move in
+#: their last bits with it (no sign moved on any layout checked), though
+#: not with a row's place in the block. So it stays fixed, and rows that
+#: pass the screen are scored in blocks of this many rows too
 _CHUNK = 1024
 
 #: objective values at or below this are too degenerate to normalize by
@@ -136,26 +136,14 @@ class _Selection:
         return count
 
 
-def run_design(
-    p: DesignProblem,
-    sol: SdpSolution,
-    score: ScoreKind = ScoreKind.MESSAGE_POWER,
-    retain: bool = False,
-) -> DesignResult:
-    """Run all p.trials rounding trials and select the best feasible candidate.
+def _score_blocks(p: DesignProblem, fill, selections, retain: bool = False):
+    """Score p.trials rows of +-1, row i being trial i, into every selection.
 
-    Deterministic given (p, sol): trial ell reads normals ell*r ..
-    (ell+1)*r-1 of Generator(Philox(key=p.seed)), r being the number of
-    factor columns, and projects them through the factor. Set retain=True
-    to keep per-trial metric arrays (used by the experiment harnesses); by
-    default only the winner and summary statistics are kept.
-
-    A run makes one block-sized signs array and the scoring basis once
-    and reuses them: each block is projected into the signs array and
-    quantized there, so the normals die at the projection, and with
-    retain=True each block's metrics are copied into full-length columns.
-    Beyond those columns the working set does not grow with the trial
-    count.
+    fill(block, start) writes rows start .. start+len(block)-1 into block,
+    a view of one (_CHUNK, n) array made once, as is the scoring basis.
+    With retain, each block's metrics are copied into full-length
+    columns, returned by BandMetrics field name (else None); beyond them
+    the working set does not grow with the trial count.
 
     Without retain, a run of more than one block screens its full blocks
     by their interferer power alone (problem._may_be_feasible) while
@@ -168,15 +156,17 @@ def run_design(
     block of the same row count as without the screen, so the result is
     the same bit for bit.
     """
-    factor_t = np.ascontiguousarray(sol.factor.T)
-    rng = np.random.Generator(np.random.Philox(key=p.seed))
-    objective = sol.objective
-    selection = _Selection(score)
-    columns = None
+
+    def add(scored, block, trials):
+        # every selection counts the same feasible rows
+        return [selection.add(scored, block, trials) for selection in selections][0]
+
     # the basis first: its build's temporaries are freed before the blocks are made
     basis = _scoring_basis(p)
     rows = min(_CHUNK, p.trials)
     buffer = np.empty((rows, p.n))
+    columns = {f.name: np.empty(p.trials, bool if f.name == "feasible" else float)
+               for f in fields(BandMetrics)} if retain else None
     # a lone block gains nothing from the screen: its passed rows are
     # scored in a block of the same size
     screen = None
@@ -189,14 +179,7 @@ def run_design(
     for start in range(0, p.trials, _CHUNK):
         count = min(_CHUNK, p.trials - start)
         signs = buffer[:count]
-        np.matmul(rng.standard_normal((count, factor_t.shape[0])), factor_t, out=signs)
-        # exactly +-1, with -0.0 to +1 and NaN to -1 as the np.where of
-        # quantized_principal_eigenvector maps them: the loops of
-        # (w >= 0.0) * 2.0 - 1.0, written in place, the comparison's True
-        # and False landing in the block as 1.0 and 0.0
-        np.greater_equal(signs, 0.0, out=signs)
-        np.multiply(signs, 2.0, out=signs)
-        np.subtract(signs, 1.0, out=signs)
+        fill(signs, start)
         passed = None
         if screening and count == rows:
             passed = np.flatnonzero(_may_be_feasible(p, screen, signs))
@@ -216,19 +199,13 @@ def run_design(
                 pool_trials[pending : pending + part.size] = start + part
                 pending += part.size
                 if pending == rows:
-                    selection.add(_block_metrics(p, basis, pool), pool, pool_trials)
+                    add(_block_metrics(p, basis, pool), pool, pool_trials)
                     pending = 0
         else:
             scored = _block_metrics(p, basis, signs)
-            kept = selection.add(scored, signs, np.arange(start, start + count))
-            if retain:
-                if columns is None:
-                    columns = {
-                        f.name: np.empty(p.trials, getattr(scored, f.name).dtype)
-                        for f in fields(BandMetrics)
-                    }
-                for name, column in columns.items():
-                    column[start : start + count] = getattr(scored, name)
+            kept = add(scored, signs, np.arange(start, start + count))
+            for name, column in (columns or {}).items():
+                column[start : start + count] = getattr(scored, name)
         # the screen pays while most rows fail it; an unscreened block's
         # feasible rows stand for those it would have passed
         screening = screen is not None and 2 * kept < count
@@ -237,37 +214,59 @@ def run_design(
         # the whole pool, so that the product has a full block's shape
         scored = _block_metrics(p, basis, pool)
         head = {f.name: getattr(scored, f.name)[:pending] for f in fields(BandMetrics)}
-        selection.add(BandMetrics(**head), pool, pool_trials)
+        add(BandMetrics(**head), pool, pool_trials)
+    return columns
 
-    best = None
+
+def run_design(
+    p: DesignProblem,
+    sol: SdpSolution,
+    score: ScoreKind = ScoreKind.MESSAGE_POWER,
+    retain: bool = False,
+) -> DesignResult:
+    """Run all p.trials rounding trials and select the best feasible candidate.
+
+    Deterministic given (p, sol): trial ell reads normals ell*r ..
+    (ell+1)*r-1 of Generator(Philox(key=p.seed)), r being the number of
+    factor columns, and projects them through the factor. Set retain=True
+    to keep per-trial metric arrays (used by the experiment harnesses); by
+    default only the winner and summary statistics are kept. Each block
+    of _score_blocks is projected into its signs and quantized there.
+    """
+    factor_t = np.ascontiguousarray(sol.factor.T)
+    rng = np.random.Generator(np.random.Philox(key=p.seed))
+
+    def fill(signs, start):
+        np.matmul(rng.standard_normal((len(signs), factor_t.shape[0])), factor_t, out=signs)
+        # exactly +-1, with -0.0 to +1 and NaN to -1 as the np.where of
+        # quantized_principal_eigenvector maps them: the loops of
+        # (w >= 0.0) * 2.0 - 1.0, written in place, the comparison's True
+        # and False landing in the block as 1.0 and 0.0
+        np.greater_equal(signs, 0.0, out=signs)
+        np.multiply(signs, 2.0, out=signs)
+        np.subtract(signs, 1.0, out=signs)
+
+    selection = _Selection(score)
+    columns = _score_blocks(p, fill, (selection,), retain)
+
+    def gamma(power):
+        return power / sol.objective if sol.objective > _OBJECTIVE_FLOOR else None
+
+    best = table = None
     if selection.best_seq is not None:
         metrics = selection.best_metrics
-        gamma = metrics.message_power / objective if objective > _OBJECTIVE_FLOOR else None
-        best = Candidate(
-            sequence=selection.best_seq,
-            metrics=metrics,
-            trial_index=selection.best_trial,
-            gamma=gamma,
-        )
-
-    table = None
+        best = Candidate(selection.best_seq, metrics, selection.best_trial,
+                         gamma(metrics.message_power))
     if retain:
-        f_all = columns["message_power"]
-        gamma_all = f_all / objective if objective > _OBJECTIVE_FLOOR else None
-        table = TrialTable(**columns, gamma=gamma_all)
-
-    # division by a positive objective is monotone, so this is the least
-    # feasible gamma bit for bit
-    gamma_min = None
-    if selection.n_feasible and objective > _OBJECTIVE_FLOOR:
-        gamma_min = selection.least_power / objective
-
+        table = TrialTable(**columns, gamma=gamma(columns["message_power"]))
     return DesignResult(
         best=best,
         n_feasible=selection.n_feasible,
         n_trials=p.trials,
         feasibility_rate=selection.n_feasible / p.trials,
-        gamma_min_feasible=gamma_min,
+        # division by a positive objective is monotone, so this is the
+        # least feasible gamma bit for bit
+        gamma_min_feasible=gamma(selection.least_power) if selection.n_feasible else None,
         beta=_beta(p, sol),
         score_kind=score,
         trial_table=table,

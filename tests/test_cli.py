@@ -497,6 +497,29 @@ CASES = [
          [("experiment alpha.json --jobs 1 --output alpha1.csv", 0),
           ("experiment alpha.json --jobs 2 --output alpha2.csv", 0)],
          same_bytes("alpha1.csv", "alpha2.csv")),
+    # and for the other kinds whose passes go through the blocked scorer:
+    # uniform passes screened (width) or retained (ratio), and the oracle
+    Case("experiment-width-jobs",
+         {"width.json": '{"kind": "FeasibilityVsWidth", "seed": 5, "sweep": [1, 3], '
+          '"problem": {"n": 32, "message": [10, 11, 12], "interferer": [5], '
+          '"alpha": 1.0, "trials": 3000}}'},
+         [("experiment width.json --jobs 1 --output width1.csv", 0),
+          ("experiment width.json --jobs 2 --output width2.csv", 0)],
+         same_bytes("width1.csv", "width2.csv")),
+    Case("experiment-ratio-jobs",
+         {"ratio.json": '{"kind": "RatioHistogram", "seed": 5, "sweep": [3000], '
+          '"problem": {"n": 32, "message": [6, 7, 10], "interferer": [2, 3, 13], '
+          '"alpha": 5.0, "trials": 3000}}'},
+         [("experiment ratio.json --jobs 1 --output ratio1.csv", 0),
+          ("experiment ratio.json --jobs 2 --output ratio2.csv", 0)],
+         same_bytes("ratio1.csv", "ratio2.csv")),
+    Case("experiment-oracle-jobs",
+         {"oracle.json": '{"kind": "OracleComparison", "seed": 5, "sweep": [64, 256], '
+          '"repetitions": 3, "problem": {"n": 14, "message": [1, 2], "interferer": [3, 4], '
+          '"alpha": 1.0}}'},
+         [("experiment oracle.json --jobs 1 --output oracle1.csv", 0),
+          ("experiment oracle.json --jobs 2 --output oracle2.csv", 0)],
+         same_bytes("oracle1.csv", "oracle2.csv")),
     # the experiment seed keys the rounding draws, also of a config that names
     # its own problem
     Case("experiment-alpha-seeds",

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import specseq.experiments as ex
-from specseq import BandSpec, DesignProblem, SizeLimitError
+from specseq import BandSpec, DesignProblem, SizeLimitError, rounding
 
 
 def small_alpha_config(seed=3):
@@ -119,6 +119,22 @@ class TestConfigParsing:
     def test_empty_sweep_rejected(self):
         with pytest.raises(ValueError):
             ex.config_from_json_dict({"kind": "FeasibilityVsAlpha", "sweep": []})
+
+    @pytest.mark.parametrize("repetitions", [2.5, 2.0, True, 0], ids=["fraction", "whole-float",
+                                                                        "bool", "zero"])
+    def test_repetitions_must_be_a_positive_integer(self, repetitions):
+        cfg = ex.default_config(ex.ExperimentKind.BETA_DISTRIBUTION)
+        with pytest.raises(ValueError, match="repetitions must be an integer of at least 1"):
+            replace(cfg, repetitions=repetitions)
+
+    def test_numpy_integer_repetitions_accepted(self):
+        cfg = replace(ex.default_config(ex.ExperimentKind.BETA_DISTRIBUTION),
+                      repetitions=np.int64(3))
+        assert cfg.repetitions == 3
+
+    def test_fractional_seed_rejected_through_the_problem(self):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            replace(ex.default_config(ex.ExperimentKind.BETA_DISTRIBUTION), seed=1.5)
 
 
 class TestFeasibilityExperiments:
@@ -234,6 +250,29 @@ class TestRatioHistogram:
         assert scalars["eigenvector_gamma"] is not None
         # rounded candidates average a higher ratio than uniform sequences
         assert scalars["mean_feasible_gamma"] > scalars["uniform_mean_gamma"]
+
+    def test_uniform_rows_score_the_same_screened(self, monkeypatch):
+        # three blocks at under 10% feasible: the summary pass screens both
+        # full blocks, yet it selects and counts what the retained pass does
+        screened = []
+        screen = rounding._may_be_feasible
+
+        def spy(p, basis, rows):
+            screened.append(len(rows))
+            return screen(p, basis, rows)
+
+        monkeypatch.setattr(rounding, "_may_be_feasible", spy)
+        p = DesignProblem(32, BandSpec((6, 7, 10)), BandSpec((2, 3, 13)), 1.0, 3000, 0)
+        summary, none = ex._uniform_rows(p, 11)
+        assert none is None and screened == [1024, 1024]
+        retained, columns = ex._uniform_rows(p, 11, retain=True)
+        assert screened == [1024, 1024]
+        assert 0 < summary.n_feasible == retained.n_feasible == int(columns["feasible"].sum())
+        assert summary.n_feasible < 0.1 * p.trials
+        for name in ("best_trial", "best_score", "least_power"):
+            assert getattr(summary, name) == getattr(retained, name)
+        assert np.array_equal(summary.best_seq, retained.best_seq)
+        assert summary.best_metrics == retained.best_metrics
 
     def test_zero_objective_rejected(self):
         # message bin 1 mirrors interferer bin 7, so at alpha=0 the

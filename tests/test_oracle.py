@@ -15,7 +15,8 @@ from specseq import (
     run_design,
     solve_relaxation,
 )
-from specseq import oracle, rounding
+from specseq import rounding
+from specseq.problem import _block_metrics, _scoring_basis
 from specseq.sdp import SdpSolution
 
 
@@ -67,6 +68,37 @@ class TestExhaustiveSearch:
         assert out.best_by_chi[1].reciprocal_dynamic_range == pytest.approx(
             chi[feasible].max(), rel=1e-10
         )
+
+    @pytest.mark.parametrize("message, interferer, alpha", [
+        ((1, 2), (4, 5), 1.03),  # every block passes under half its rows
+        ((1, 3), (4, 6), 1.53),  # the last passes more, and is scored whole
+    ])
+    def test_matches_brute_force_through_the_screen(
+        self, monkeypatch, message, interferer, alpha
+    ):
+        # n=14 makes eight blocks of 1024 sequences; the screen turns away
+        # most rows of the first block and passes the rest through the pool
+        passed = []
+        screen = rounding._may_be_feasible
+
+        def spy(p, basis, rows):
+            out = screen(p, basis, rows)
+            passed.append(int(out.sum()))
+            return out
+
+        monkeypatch.setattr(rounding, "_may_be_feasible", spy)
+        p = make_problem(14, message, interferer, alpha=alpha)
+        out = exhaustive_search(p)
+        assert len(passed) == 8 and 2 * passed[0] < 1024
+        signs, f, g, rho, chi, feasible = brute_force(p)
+        assert out.n_feasible == int(feasible.sum())
+        for (seq, metrics), values, name in (
+            (out.best_by_power, f, "message_power"),
+            (out.best_by_rho, rho, "rejection_ratio"),
+            (out.best_by_chi, chi, "reciprocal_dynamic_range"),
+        ):
+            assert getattr(metrics, name) == pytest.approx(values[feasible].max(), rel=1e-10)
+            assert metrics.feasible and seq[0] == 1
 
     def test_best_sequences_are_feasible_and_consistent(self):
         p = make_problem(12, (2, 3), (6, 7), alpha=2.5, seed=0)
@@ -183,10 +215,18 @@ class TestOptimumMetrics:
     def test_metrics_are_the_selecting_block_row(self, message, interferer, alpha):
         p = make_problem(16, message, interferer, alpha)
         out = exhaustive_search(p)
+        # every sequence scored in blocks of rounding._CHUNK rows, as the
+        # blocks of a design run are, against one basis
+        basis = _scoring_basis(p)
+        sequences = all_sequences(16)
+        blocks = [
+            (block, _block_metrics(p, basis, block))
+            for block in np.split(sequences, len(sequences) // rounding._CHUNK)
+        ]
         for seq, bundle in (out.best_by_power, out.best_by_rho, out.best_by_chi):
             rows = [
                 metrics.row(int(idx))
-                for block, metrics in oracle._enumerate(p)
+                for block, metrics in blocks
                 for idx in np.flatnonzero((block == seq).all(axis=1))
             ]
             assert len(rows) == 1

@@ -115,6 +115,23 @@ class TestValidation:
         band = BandSpec((np.int64(3), 1))
         assert band.indices == (1, 3) and all(type(k) is int for k in band.indices)
 
+    @pytest.mark.parametrize("field, value", [
+        ("n", 16.0), ("trials", 100.0), ("seed", 1.5), ("seed", True),
+        ("n", np.float64(16)), ("trials", False),
+    ], ids=["n-float", "trials-float", "seed-fraction", "seed-bool", "n-numpy-float",
+            "trials-bool"])
+    def test_non_integer_size_or_seed_rejected(self, field, value):
+        # seed=1.5 and seed=True would draw exactly what seed=1 draws
+        p = make_problem(16, (1, 2), (5, 6), alpha=2.0, trials=100)
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            replace(p, **{field: value})
+
+    def test_numpy_integer_sizes_and_seed_accepted(self):
+        p = DesignProblem(np.int64(16), BandSpec((1, 2)), BandSpec((5, 6)), 2.0,
+                          np.int32(100), np.uint64(2**64 - 1))
+        assert (p.n, p.trials, p.seed) == (16, 100, 2**64 - 1)
+        assert all(type(v) is int for v in (p.n, p.trials, p.seed))
+
 
 class TestMessagePower:
     def test_dc_all_ones(self):
