@@ -343,8 +343,8 @@ def _uniform_rows(p: DesignProblem, seed: int, retain: bool = False) -> tuple:
         np.multiply(rng.integers(0, 2, size=block.shape), 2.0, out=block)
         np.subtract(block, 1.0, out=block)
 
-    selection = rounding._Selection(ScoreKind.MESSAGE_POWER)
-    return selection, rounding._score_blocks(p, fill, (selection,), retain)
+    selection = rounding._Selection((ScoreKind.MESSAGE_POWER,))
+    return selection, rounding._score_blocks(p, fill, selection, retain)
 
 
 # ----------------------------------------------------------------------

@@ -4,13 +4,13 @@ Negating a sequence changes no metric, so the first entry is fixed to +1
 and only 2^(n-1) sequences are visited. They are enumerated in
 lexicographic order (-1 before +1) into the design's blocked scorer
 (rounding._score_blocks), a sequence's rank in that order being its
-trial index. So the oracle applies the same metric, null, feasibility
-and selection rules as the design it judges, and of scores that are
-equal as floats the lexicographically smaller sequence wins. Scores that
-are equal in exact arithmetic but apart by roundoff go to the larger
-float, whichever sequence that is; an exact tie rule is left to the
-orbit oracle. Each optimum is reported with the metrics of the block row
-that selected it.
+trial index, and one selection picks the optima under all three scores
+in one pass over each scored block. So the oracle applies the same
+metric, null, feasibility and selection rules as the design it judges,
+and of scores that are equal as floats the lexicographically smaller
+sequence wins. Scores that are equal in exact arithmetic but apart by
+roundoff go to the larger float, whichever sequence that is. Each
+optimum is reported with the metrics of the block row that selected it.
 """
 
 from __future__ import annotations
@@ -75,17 +75,17 @@ def exhaustive_search(p: DesignProblem) -> OracleResult:
             part[:, 1 : p.n - low] = high[rank >> low]
             done += len(part)
 
-    selections = [_Selection(kind) for kind in ScoreKind]
-    _score_blocks(replace(p, trials=1 << width), fill, selections)
-    power, rho, chi = selections
-    if power.n_feasible == 0:
+    selection = _Selection(ScoreKind)
+    _score_blocks(replace(p, trials=1 << width), fill, selection)
+    if selection.n_feasible == 0:
         raise NoFeasibleError(f"no binary sequence has interferer power <= {p.alpha}")
 
+    best = {kind: selection.best[kind][2:] for kind in ScoreKind}  # (sequence, metrics)
     return OracleResult(
-        best_by_power=(power.best_seq, power.best_metrics),
-        best_by_rho=(rho.best_seq, rho.best_metrics),
-        best_by_chi=(chi.best_seq, chi.best_metrics),
-        n_feasible=power.n_feasible,
+        best_by_power=best[ScoreKind.MESSAGE_POWER],
+        best_by_rho=best[ScoreKind.REJECTION_RATIO],
+        best_by_chi=best[ScoreKind.RECIPROCAL_DYNAMIC_RANGE],
+        n_feasible=selection.n_feasible,
         n_enumerated=1 << width,
     )
 

@@ -161,14 +161,6 @@ class ScoreKind(Enum):
         raise ValueError(f"unknown score kind {name!r}")
 
 
-#: the metric field each selection score reads
-_SCORE_FIELDS = {
-    ScoreKind.MESSAGE_POWER: "message_power",
-    ScoreKind.REJECTION_RATIO: "rejection_ratio",
-    ScoreKind.RECIPROCAL_DYNAMIC_RANGE: "reciprocal_dynamic_range",
-}
-
-
 @dataclass(frozen=True)
 class MetricBundle:
     """All scalar quality metrics of one sequence against one problem."""
@@ -210,15 +202,6 @@ class BandMetrics:
     rejection_ratio: np.ndarray
     reciprocal_dynamic_range: np.ndarray
     feasible: np.ndarray
-
-    def best_feasible(self, kind: ScoreKind) -> tuple:
-        """(index, score) of the first feasible row with the highest score.
-
-        The score is -inf when no row is feasible.
-        """
-        masked = np.where(self.feasible, getattr(self, _SCORE_FIELDS[kind]), -np.inf)
-        idx = int(np.argmax(masked))
-        return idx, float(masked[idx])
 
     def row(self, i: int) -> MetricBundle:
         """The metrics of row i, exactly as stored in the block."""

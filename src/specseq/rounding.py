@@ -52,6 +52,19 @@ _CHUNK = 1024
 _OBJECTIVE_FLOOR = 1e-12
 
 
+#: the metric field each selection score reads
+_SCORE_FIELDS = {
+    ScoreKind.MESSAGE_POWER: "message_power",
+    ScoreKind.REJECTION_RATIO: "rejection_ratio",
+    ScoreKind.RECIPROCAL_DYNAMIC_RANGE: "reciprocal_dynamic_range",
+}
+
+
+def _gamma(power, sol: SdpSolution):
+    """The approximation ratio of a power or array of powers; None at a degenerate objective."""
+    return power / sol.objective if sol.objective > _OBJECTIVE_FLOOR else None
+
+
 @dataclass(frozen=True)
 class Candidate:
     """One rounded binary sequence with its metrics and approximation ratio."""
@@ -103,41 +116,45 @@ class DesignResult:
 
 
 class _Selection:
-    """Feasible count, winner and least feasible message power of scored blocks.
+    """Feasible count, least feasible message power and winners of scored blocks.
 
-    Blocks may come in any order: of equal scores the lower trial wins,
-    as it would in one pass in trial order.
+    One pass over a block serves every kind in kinds: best[kind] holds
+    (score, trial, sequence, metrics) of that kind's winner so far, and
+    has no entry while nothing is feasible. Blocks may come in any order:
+    of equal scores the lower trial wins, as it would in one pass in
+    trial order.
     """
 
-    def __init__(self, kind: ScoreKind):
-        self.kind = kind
+    def __init__(self, kinds):
+        self.kinds = tuple(kinds)
         self.n_feasible = 0
         self.least_power = math.inf
-        self.best_score = -math.inf
-        self.best_trial = -1
-        self.best_seq = None
-        self.best_metrics = None
+        self.best = {}
 
     def add(self, scored: BandMetrics, rows: np.ndarray, trials: np.ndarray) -> int:
-        """Take a block whose row i is trial trials[i]; returns its feasible count."""
-        feasible = scored.feasible
-        count = int(np.count_nonzero(feasible))
-        if count == 0:
+        """Take a block whose row i is trial trials[i]; returns its feasible count.
+
+        Rows past len(trials) pad the block and are not counted.
+        """
+        feasible = np.flatnonzero(scored.feasible[: len(trials)])
+        if feasible.size == 0:
             return 0
-        self.n_feasible += count
+        self.n_feasible += feasible.size
         self.least_power = min(self.least_power, float(scored.message_power[feasible].min()))
-        i, value = scored.best_feasible(self.kind)
-        trial = int(trials[i])
-        if value > self.best_score or (value == self.best_score and trial < self.best_trial):
-            self.best_score, self.best_trial = value, trial
-            # a copy: the next block overwrites the rows
-            self.best_seq = rows[i].astype(np.int8)
-            self.best_metrics = scored.row(i)
-        return count
+        for kind in self.kinds:
+            column = getattr(scored, _SCORE_FIELDS[kind])[feasible]
+            j = int(np.argmax(column))
+            value, i = float(column[j]), int(feasible[j])
+            trial = int(trials[i])
+            held = self.best.get(kind)
+            if held is None or value > held[0] or (value == held[0] and trial < held[1]):
+                # a copy: the next block overwrites the rows
+                self.best[kind] = (value, trial, rows[i].astype(np.int8), scored.row(i))
+        return feasible.size
 
 
-def _score_blocks(p: DesignProblem, fill, selections, retain: bool = False):
-    """Score p.trials rows of +-1, row i being trial i, into every selection.
+def _score_blocks(p: DesignProblem, fill, selection: _Selection, retain: bool = False):
+    """Score p.trials rows of +-1, row i being trial i, into the selection.
 
     fill(block, start) writes rows start .. start+len(block)-1 into block,
     a view of one (_CHUNK, n) array made once, as is the scoring basis.
@@ -148,18 +165,14 @@ def _score_blocks(p: DesignProblem, fill, selections, retain: bool = False):
     Without retain, a run of more than one block screens its full blocks
     by their interferer power alone (problem._may_be_feasible) while
     fewer than half of a block's rows pass: the rows that can be
-    feasible are copied into a second block-sized array, made at the
-    first such block, which is scored once it is full and at the end of
-    the run; a block that passes half or more is scored whole. The
-    screen only chooses the rows that reach the scoring kernel; the
-    kernel decides feasibility and computes every reported metric, on a
-    block of the same row count as without the screen, so the result is
-    the same bit for bit.
+    feasible are copied into a second block-sized array, made with the
+    screen, which is scored once it is full and at the end of the run; a
+    block that passes half or more is scored whole. The screen only
+    chooses the rows that reach the scoring kernel; the kernel decides
+    feasibility and computes every reported metric, on a block of the
+    same row count as without the screen, so the result is the same bit
+    for bit.
     """
-
-    def add(scored, block, trials):
-        # every selection counts the same feasible rows
-        return [selection.add(scored, block, trials) for selection in selections][0]
 
     # the basis first: its build's temporaries are freed before the blocks are made
     basis = _scoring_basis(p)
@@ -172,8 +185,10 @@ def _score_blocks(p: DesignProblem, fill, selections, retain: bool = False):
     screen = None
     if not retain and len(p.interferer) and p.trials > rows:
         screen = _interferer_basis(p, basis)
+        # ones: the rows past the last passed one are multiplied too
+        pool = np.ones((rows, p.n))
+        pool_trials = np.empty(rows, dtype=np.intp)
     screening = screen is not None
-    pool = None
     pending = 0
 
     for start in range(0, p.trials, _CHUNK):
@@ -187,10 +202,6 @@ def _score_blocks(p: DesignProblem, fill, selections, retain: bool = False):
             # the kernel's bits for a row depend on the block's row count
             # (BLAS picks its kernels by shape), not on the row's place in
             # it, so passed rows are scored in blocks of the full row count
-            if pool is None:
-                # ones: the rows past the last passed one are multiplied too
-                pool = np.ones((rows, p.n))
-                pool_trials = np.empty(rows, dtype=np.intp)
             kept = passed.size
             for part in (passed[: rows - pending], passed[rows - pending :]):
                 # mode="clip" (the rows are in range) writes straight into
@@ -199,11 +210,11 @@ def _score_blocks(p: DesignProblem, fill, selections, retain: bool = False):
                 pool_trials[pending : pending + part.size] = start + part
                 pending += part.size
                 if pending == rows:
-                    add(_block_metrics(p, basis, pool), pool, pool_trials)
+                    selection.add(_block_metrics(p, basis, pool), pool, pool_trials)
                     pending = 0
         else:
             scored = _block_metrics(p, basis, signs)
-            kept = add(scored, signs, np.arange(start, start + count))
+            kept = selection.add(scored, signs, np.arange(start, start + count))
             for name, column in (columns or {}).items():
                 column[start : start + count] = getattr(scored, name)
         # the screen pays while most rows fail it; an unscreened block's
@@ -211,10 +222,9 @@ def _score_blocks(p: DesignProblem, fill, selections, retain: bool = False):
         screening = screen is not None and 2 * kept < count
 
     if pending:
-        # the whole pool, so that the product has a full block's shape
-        scored = _block_metrics(p, basis, pool)
-        head = {f.name: getattr(scored, f.name)[:pending] for f in fields(BandMetrics)}
-        add(BandMetrics(**head), pool, pool_trials)
+        # the whole pool, so that the product has a full block's shape;
+        # the selection counts only its first pending rows
+        selection.add(_block_metrics(p, basis, pool), pool, pool_trials[:pending])
     return columns
 
 
@@ -246,19 +256,15 @@ def run_design(
         np.multiply(signs, 2.0, out=signs)
         np.subtract(signs, 1.0, out=signs)
 
-    selection = _Selection(score)
-    columns = _score_blocks(p, fill, (selection,), retain)
-
-    def gamma(power):
-        return power / sol.objective if sol.objective > _OBJECTIVE_FLOOR else None
+    selection = _Selection((score,))
+    columns = _score_blocks(p, fill, selection, retain)
 
     best = table = None
-    if selection.best_seq is not None:
-        metrics = selection.best_metrics
-        best = Candidate(selection.best_seq, metrics, selection.best_trial,
-                         gamma(metrics.message_power))
+    if score in selection.best:
+        _, trial, seq, metrics = selection.best[score]
+        best = Candidate(seq, metrics, trial, _gamma(metrics.message_power, sol))
     if retain:
-        table = TrialTable(**columns, gamma=gamma(columns["message_power"]))
+        table = TrialTable(**columns, gamma=_gamma(columns["message_power"], sol))
     return DesignResult(
         best=best,
         n_feasible=selection.n_feasible,
@@ -266,7 +272,7 @@ def run_design(
         feasibility_rate=selection.n_feasible / p.trials,
         # division by a positive objective is monotone, so this is the
         # least feasible gamma bit for bit
-        gamma_min_feasible=gamma(selection.least_power) if selection.n_feasible else None,
+        gamma_min_feasible=_gamma(selection.least_power, sol) if selection.n_feasible else None,
         beta=_beta(p, sol),
         score_kind=score,
         trial_table=table,
@@ -277,8 +283,8 @@ def quantized_principal_eigenvector(p: DesignProblem, sol: SdpSolution) -> Candi
     """Sign-quantize the top eigenvector scaled by sqrt of its eigenvalue."""
     seq = np.where(sol.factor[:, 0] >= 0.0, 1, -1).astype(np.int8)
     metrics = metric_bundle(p, seq)
-    gamma = metrics.message_power / sol.objective if sol.objective > _OBJECTIVE_FLOOR else None
-    return Candidate(sequence=seq, metrics=metrics, trial_index=-1, gamma=gamma)
+    return Candidate(sequence=seq, metrics=metrics, trial_index=-1,
+                     gamma=_gamma(metrics.message_power, sol))
 
 
 def _beta(p: DesignProblem, sol: SdpSolution) -> float:

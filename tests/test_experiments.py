@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import specseq.experiments as ex
-from specseq import BandSpec, DesignProblem, SizeLimitError, rounding
+from specseq import BandSpec, DesignProblem, ScoreKind, SizeLimitError, rounding
 
 
 def small_alpha_config(seed=3):
@@ -269,10 +269,14 @@ class TestRatioHistogram:
         assert screened == [1024, 1024]
         assert 0 < summary.n_feasible == retained.n_feasible == int(columns["feasible"].sum())
         assert summary.n_feasible < 0.1 * p.trials
-        for name in ("best_trial", "best_score", "least_power"):
-            assert getattr(summary, name) == getattr(retained, name)
-        assert np.array_equal(summary.best_seq, retained.best_seq)
-        assert summary.best_metrics == retained.best_metrics
+        assert summary.least_power == retained.least_power
+        score, trial, seq, metrics = summary.best[ScoreKind.MESSAGE_POWER]
+        retained_score, retained_trial, retained_seq, retained_metrics = (
+            retained.best[ScoreKind.MESSAGE_POWER]
+        )
+        assert trial == retained_trial and score == retained_score
+        assert np.array_equal(seq, retained_seq)
+        assert metrics == retained_metrics
 
     def test_zero_objective_rejected(self):
         # message bin 1 mirrors interferer bin 7, so at alpha=0 the

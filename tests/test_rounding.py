@@ -13,6 +13,7 @@ from specseq import (
     MetricBundle,
     ScoreKind,
     arcsin_trace_ratio,
+    band_metrics,
     build_partial_dft,
     mcdiarmid_bound,
     metric_bundle,
@@ -244,7 +245,8 @@ class TestRunDesign:
                     assert_bitwise(getattr(res.trial_table, name), column)
                 assert_bitwise(res.trial_table.gamma, plain["message_power"] / sol.objective)
             assert res.n_feasible == int(feasible.sum())
-            i, _ = BandMetrics(**plain).best_feasible(score)
+            column = plain[rounding._SCORE_FIELDS[score]]
+            i = int(np.argmax(np.where(feasible, column, -np.inf)))
             assert res.best.trial_index == i
             for name, column in plain.items():
                 assert_bitwise(getattr(res.best.metrics, name), column[i])
@@ -420,6 +422,95 @@ class TestInterfererScreen:
             assert summary(res) == summary(run_design(p, sol, score=score, retain=True))
         assert res.n_feasible == p.trials
         assert not screened
+
+
+def gather(blocks, rows):
+    """The scored block whose row i is row rows[i] of the blocks laid end to end."""
+    return BandMetrics(**{
+        f.name: np.concatenate([getattr(b, f.name) for b in blocks])[rows]
+        for f in fields(BandMetrics)
+    })
+
+
+def selected(selection):
+    """A selection's count, least power and per-kind winners, comparable with ==."""
+    return (
+        selection.n_feasible,
+        selection.least_power,
+        {kind: (score, trial, seq.tobytes(), metrics)
+         for kind, (score, trial, seq, metrics) in selection.best.items()},
+    )
+
+
+class TestSelection:
+    """_Selection on hand-fed scored blocks: order, kinds and padding."""
+
+    @pytest.fixture
+    def blocks(self):
+        # block 0 copies rows of blocks 1 and 2, each kind's winner among
+        # them, so every winner ties with a row of a later block
+        p = make_problem(16, (1, 2), (5, 6), alpha=2.0)
+        rng = np.random.default_rng(3)
+        later = [rng.choice([-1.0, 1.0], size=(64, p.n)) for _ in range(2)]
+        scored = [band_metrics(p, rows) for rows in later]
+        every = gather(scored, slice(None))
+        assert 0 < every.feasible.sum() < 128
+        winners = [
+            int(np.argmax(np.where(every.feasible, getattr(every, field), -np.inf)))
+            for field in rounding._SCORE_FIELDS.values()
+        ]
+        picks = np.concatenate([winners, rng.integers(0, 128, 64 - len(winners))])
+        rows = [np.concatenate(later)[picks]] + later
+        scored = [gather(scored, picks)] + scored
+        trials = [np.arange(64 * k, 64 * (k + 1)) for k in range(3)]
+        return list(zip(scored, rows, trials))
+
+    def feed(self, kinds, blocks):
+        selection = rounding._Selection(kinds)
+        for block in blocks:
+            selection.add(*block)
+        return selection
+
+    def test_block_order_does_not_matter(self, blocks):
+        forward = self.feed(ScoreKind, blocks)
+        assert selected(self.feed(ScoreKind, blocks[::-1])) == selected(forward)
+        # the plain rule over all rows in trial order: first feasible maximum
+        every = gather([scored for scored, _, _ in blocks], slice(None))
+        assert forward.n_feasible == int(every.feasible.sum())
+        assert forward.least_power == every.message_power[every.feasible].min()
+        for kind, field in rounding._SCORE_FIELDS.items():
+            column = getattr(every, field)
+            trial = int(np.argmax(np.where(every.feasible, column, -np.inf)))
+            score, winner, seq, metrics = forward.best[kind]
+            # the copy in block 0 wins the tie with its original
+            assert winner == trial < 64
+            assert score == column[trial]
+            assert np.array_equal(seq, blocks[0][1][trial].astype(np.int8))
+            assert metrics == every.row(trial)
+
+    def test_all_kinds_equal_one_kind_each(self, blocks):
+        together = selected(self.feed(ScoreKind, blocks))
+        for kind in ScoreKind:
+            alone = selected(self.feed((kind,), blocks))
+            assert alone[:2] == together[:2]
+            assert alone[2] == {kind: together[2][kind]}
+
+    def test_padding_rows_never_count(self, blocks):
+        # the last block's two rows past its trials are feasible, one scoring
+        # above every row and one with the least message power
+        scored, rows, trials = blocks[-1]
+        padded = {f.name: getattr(scored, f.name).copy() for f in fields(BandMetrics)}
+        for name, column in padded.items():
+            column[-2] = True if name == "feasible" else 1e300
+            column[-1] = True if name == "feasible" else 0.0
+        cut = blocks[:-1] + [(scored, rows, trials[:-2])]
+        pad = blocks[:-1] + [(BandMetrics(**padded), rows, trials[:-2])]
+        assert selected(self.feed(ScoreKind, pad)) == selected(self.feed(ScoreKind, cut))
+        assert self.feed(ScoreKind, pad).least_power > 0.0
+        # counted as trials, the same rows would win every kind
+        counted = self.feed(ScoreKind, blocks[:-1] + [(BandMetrics(**padded), rows, trials)])
+        assert counted.least_power == 0.0
+        assert all(trial == trials[-2] for _, trial, _, _ in counted.best.values())
 
 
 def bins(*runs):
