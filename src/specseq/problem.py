@@ -261,46 +261,9 @@ def _scoring_basis(p: DesignProblem) -> np.ndarray:
     return basis
 
 
-def _interferer_basis(p: DesignProblem, basis: np.ndarray) -> np.ndarray:
-    """The interferer columns [Re C_I | Im C_I] of _scoring_basis(p), for _may_be_feasible."""
-    n_m, n_bins = len(p.message), basis.shape[1] // 2
-    return np.hstack([basis[:, n_m:n_bins], basis[:, n_bins + n_m :]])
-
-
 def _feasibility_bound(p: DesignProblem) -> float:
     """The largest interferer power a feasible row may have (see band_metrics)."""
     return p.alpha + 1e-9 * max(1.0, p.alpha)
-
-
-def _may_be_feasible(p: DesignProblem, screen: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Which rows of a real (B, n) block _block_metrics could find feasible.
-
-    screen is _interferer_basis(p, _scoring_basis(p)). The rows' interferer
-    power is taken from this narrower product, whose bits can differ from
-    those of the full product in _block_metrics, so a row passes when its
-    power is within the bound plus a margin that covers any summation
-    order. Every basis entry is at most 1/sqrt(n) and every row entry is
-    +-1, so each exact band product y has |y| <= sqrt(n), and a dot
-    product of length n summed in any order is off by at most
-    gamma_n * sqrt(n), gamma_n = n*u / (1 - n*u) with u = 2**-53 (Higham,
-    Accuracy and Stability of Numerical Algorithms, 2nd ed., 3.1). Two
-    computed products of one row and column differ by at most
-    2 * gamma_n * sqrt(n), so their squares differ by at most about
-    4 * n**2 * u, and the 2|I| real and imaginary parts of the band move g
-    by at most 8 * |I| * n**2 * u. Rounding the squares and adding them,
-    in any order, moves the kernel's g by at most about (|I| + 1) * u * g
-    and this one's by at most about 2 * |I| * u * g, so
-    |g_screen - g_kernel| <= 8 |I| n^2 u + 4 |I| u g to first order. The
-    margin, 16 * |I| * n**2 * eps * max(1, bound) with eps = 2u, is at
-    least four times that at g <= bound: no row the kernel finds feasible
-    is turned away. Rows that pass can still be infeasible; the kernel
-    decides them.
-    """
-    y = rows @ screen
-    g = np.vecdot(y, y)
-    bound = _feasibility_bound(p)
-    margin = 16.0 * len(p.interferer) * float(p.n) ** 2 * np.finfo(float).eps * max(1.0, bound)
-    return g <= bound + margin
 
 
 #: bytes of the squared product that _block_metrics turns bins-major in

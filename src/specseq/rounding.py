@@ -27,8 +27,6 @@ from .problem import (
     MetricBundle,
     ScoreKind,
     _block_metrics,
-    _interferer_basis,
-    _may_be_feasible,
     _scoring_basis,
     build_partial_dft,
     metric_bundle,
@@ -37,15 +35,14 @@ from .sdp import SdpSolution
 
 #: _score_blocks writes and scores its rows (rounded trials, uniform draws
 #: or enumerated sequences) in blocks of this many rows, so that beyond
-#: retained columns its working set is one (_CHUNK, n) block of signs, one
-#: block of the rows that passed the interferer screen, and their products
-#: (8 MiB a block at n=1024) whatever the row count. A Generator's normals
-#: are the same however they are split into calls. The row count sets the
-#: shapes of the projection and of band_metrics' product, for which
-#: OpenBLAS picks its kernels: projected values and metrics can move in
-#: their last bits with it (no sign moved on any layout checked), though
-#: not with a row's place in the block. So it stays fixed, and rows that
-#: pass the screen are scored in blocks of this many rows too
+#: retained columns its working set is one (_CHUNK, n) block of signs and
+#: its products (8 MiB a block at n=1024) whatever the row count. A
+#: Generator's normals are the same however they are split into calls.
+#: The row count sets the shapes of the projection and of band_metrics'
+#: product, for which OpenBLAS picks its kernels: projected values and
+#: metrics can move in their last bits with it (no sign moved on any
+#: layout checked), though not with a row's place in the block. So it
+#: stays fixed
 _CHUNK = 1024
 
 #: objective values at or below this are too degenerate to normalize by
@@ -131,14 +128,14 @@ class _Selection:
         self.least_power = math.inf
         self.best = {}
 
-    def add(self, scored: BandMetrics, rows: np.ndarray, trials: np.ndarray) -> int:
-        """Take a block whose row i is trial trials[i]; returns its feasible count.
+    def add(self, scored: BandMetrics, rows: np.ndarray, trials: np.ndarray):
+        """Take a block whose row i is trial trials[i].
 
         Rows past len(trials) pad the block and are not counted.
         """
         feasible = np.flatnonzero(scored.feasible[: len(trials)])
         if feasible.size == 0:
-            return 0
+            return
         self.n_feasible += feasible.size
         self.least_power = min(self.least_power, float(scored.message_power[feasible].min()))
         for kind in self.kinds:
@@ -150,7 +147,6 @@ class _Selection:
             if held is None or value > held[0] or (value == held[0] and trial < held[1]):
                 # a copy: the next block overwrites the rows
                 self.best[kind] = (value, trial, rows[i].astype(np.int8), scored.row(i))
-        return feasible.size
 
 
 def _score_blocks(p: DesignProblem, fill, selection: _Selection, retain: bool = False):
@@ -158,73 +154,25 @@ def _score_blocks(p: DesignProblem, fill, selection: _Selection, retain: bool = 
 
     fill(block, start) writes rows start .. start+len(block)-1 into block,
     a view of one (_CHUNK, n) array made once, as is the scoring basis.
-    With retain, each block's metrics are copied into full-length
-    columns, returned by BandMetrics field name (else None); beyond them
-    the working set does not grow with the trial count.
-
-    Without retain, a run of more than one block screens its full blocks
-    by their interferer power alone (problem._may_be_feasible) while
-    fewer than half of a block's rows pass: the rows that can be
-    feasible are copied into a second block-sized array, made with the
-    screen, which is scored once it is full and at the end of the run; a
-    block that passes half or more is scored whole. The screen only
-    chooses the rows that reach the scoring kernel; the kernel decides
-    feasibility and computes every reported metric, on a block of the
-    same row count as without the screen, so the result is the same bit
-    for bit.
+    Every block is scored whole by problem._block_metrics, which decides
+    feasibility. With retain, each block's metrics are copied into
+    full-length columns, returned by BandMetrics field name (else None);
+    beyond them the working set does not grow with the trial count.
     """
 
-    # the basis first: its build's temporaries are freed before the blocks are made
+    # the basis first: its build's temporaries are freed before the block is made
     basis = _scoring_basis(p)
-    rows = min(_CHUNK, p.trials)
-    buffer = np.empty((rows, p.n))
+    buffer = np.empty((min(_CHUNK, p.trials), p.n))
     columns = {f.name: np.empty(p.trials, bool if f.name == "feasible" else float)
                for f in fields(BandMetrics)} if retain else None
-    # a lone block gains nothing from the screen: its passed rows are
-    # scored in a block of the same size
-    screen = None
-    if not retain and len(p.interferer) and p.trials > rows:
-        screen = _interferer_basis(p, basis)
-        # ones: the rows past the last passed one are multiplied too
-        pool = np.ones((rows, p.n))
-        pool_trials = np.empty(rows, dtype=np.intp)
-    screening = screen is not None
-    pending = 0
-
     for start in range(0, p.trials, _CHUNK):
         count = min(_CHUNK, p.trials - start)
         signs = buffer[:count]
         fill(signs, start)
-        passed = None
-        if screening and count == rows:
-            passed = np.flatnonzero(_may_be_feasible(p, screen, signs))
-        if passed is not None and 2 * passed.size < count:
-            # the kernel's bits for a row depend on the block's row count
-            # (BLAS picks its kernels by shape), not on the row's place in
-            # it, so passed rows are scored in blocks of the full row count
-            kept = passed.size
-            for part in (passed[: rows - pending], passed[rows - pending :]):
-                # mode="clip" (the rows are in range) writes straight into
-                # the pool, where the default buffers the gathered rows
-                np.take(signs, part, axis=0, out=pool[pending : pending + part.size], mode="clip")
-                pool_trials[pending : pending + part.size] = start + part
-                pending += part.size
-                if pending == rows:
-                    selection.add(_block_metrics(p, basis, pool), pool, pool_trials)
-                    pending = 0
-        else:
-            scored = _block_metrics(p, basis, signs)
-            kept = selection.add(scored, signs, np.arange(start, start + count))
-            for name, column in (columns or {}).items():
-                column[start : start + count] = getattr(scored, name)
-        # the screen pays while most rows fail it; an unscreened block's
-        # feasible rows stand for those it would have passed
-        screening = screen is not None and 2 * kept < count
-
-    if pending:
-        # the whole pool, so that the product has a full block's shape;
-        # the selection counts only its first pending rows
-        selection.add(_block_metrics(p, basis, pool), pool, pool_trials[:pending])
+        scored = _block_metrics(p, basis, signs)
+        selection.add(scored, signs, np.arange(start, start + count))
+        for name, column in (columns or {}).items():
+            column[start : start + count] = getattr(scored, name)
     return columns
 
 

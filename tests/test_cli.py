@@ -422,7 +422,7 @@ CASES = [
          [("design problem.json --seed 0", 0), ("design problem.json --seed 1", 0)],
          lambda a, b: a.stdout != b.stdout),
     # the README bands at alpha 1e-6: the relaxation is feasible but no trial
-    # is, so the interferer screen turns away every row of the full blocks
+    # is, in any of the three blocks
     Case("design-no-feasible-trial",
          {"none.json": '{"n": 64, "message": [12, 13, 14, 20, 21, 22], '
           '"interferer": [5, 6, 7, 25, 26, 27], "alpha": 1e-6, "trials": 3000}'},
@@ -498,7 +498,7 @@ CASES = [
           ("experiment alpha.json --jobs 2 --output alpha2.csv", 0)],
          same_bytes("alpha1.csv", "alpha2.csv")),
     # and for the other kinds whose passes go through the blocked scorer:
-    # uniform passes screened (width) or retained (ratio), and the oracle
+    # uniform passes summarized (width) or retained (ratio), and the oracle
     Case("experiment-width-jobs",
          {"width.json": '{"kind": "FeasibilityVsWidth", "seed": 5, "sweep": [1, 3], '
           '"problem": {"n": 32, "message": [10, 11, 12], "interferer": [5], '

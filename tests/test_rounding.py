@@ -77,20 +77,6 @@ def random_correlation(rng, n, rank):
     return s
 
 
-@pytest.fixture
-def screened(monkeypatch):
-    """Copies of the blocks run_design screens by interferer power, in order."""
-    blocks = []
-    screen = rounding._may_be_feasible
-
-    def spy(p, basis, rows):
-        blocks.append(rows.copy())
-        return screen(p, basis, rows)
-
-    monkeypatch.setattr(rounding, "_may_be_feasible", spy)
-    return blocks
-
-
 class TestSampleCandidate:
     def test_rank_one_returns_sign_pattern(self):
         s = np.array([1, -1, 1, 1, -1, -1], dtype=float)
@@ -191,24 +177,23 @@ class TestRunDesign:
                 assert not np.array_equal(tables[i], tables[j]), (seeds[i], seeds[j])
 
     @pytest.mark.parametrize("retain", [True, False], ids=["retain", "summary"])
-    @pytest.mark.parametrize("n, message, interferer, alpha, chunk, screens", [
-        (64, README_MESSAGE, README_INTERFERER, 2.0, 512, "first"),
-        (16, (2, 3), (6, 7), 1.0, 512, "first"),
+    @pytest.mark.parametrize("n, message, interferer, alpha, chunk", [
+        (64, README_MESSAGE, README_INTERFERER, 2.0, 512),
+        (16, (2, 3), (6, 7), 1.0, 512),
         # under 1% feasible
-        (64, README_MESSAGE, README_INTERFERER, 0.5, 512, "every"),
-        # one interferer bin: BLAS multiplies the narrow screen with other
-        # kernels than the full basis, and on this layout a block of fewer
-        # rows also moves the kernel's bits, so passed rows must be scored
-        # in blocks of the full row count
-        (243, (3, 6, 23, 47, 60, 97, 112, 120), (96,), 0.02, 512, "every"),
+        (64, README_MESSAGE, README_INTERFERER, 0.5, 512),
+        # one interferer bin: on this layout a block of fewer rows moves the
+        # kernel's bits, so every full chunk must be scored as one block
+        (243, (3, 6, 23, 47, 60, 97, 112, 120), (96,), 0.02, 512),
         # blocks of 8 rows, near two thirds feasible
-        (64, README_MESSAGE, README_INTERFERER, 2.0, 8, "toggles"),
+        (64, README_MESSAGE, README_INTERFERER, 2.0, 8),
     ], ids=["readme", "n16", "low-feasibility", "one-bin-interferer", "toggling"])
     def test_matches_plain_replay_bitwise(
-        self, monkeypatch, screened, n, message, interferer, alpha, chunk, screens, retain
+        self, monkeypatch, n, message, interferer, alpha, chunk, retain
     ):
         # Philox normals over the factor's columns, np.where signs and the plain
-        # kernel, chunk by chunk; the last chunk holds a lone row
+        # kernel, chunk by chunk; the last chunk holds a lone row. A summary
+        # run and a run that retains its table both score every chunk whole
         monkeypatch.setattr(rounding, "_CHUNK", chunk)
         p = make_problem(n, message, interferer, alpha=alpha, trials=3 * 512 + 1, seed=4242)
         sol = solve_relaxation(p)
@@ -226,20 +211,8 @@ class TestRunDesign:
         }
         feasible = plain["feasible"]
         assert 0 < feasible.sum() < p.trials
-        # a summary run screens its first block, then each block after one
-        # with fewer than half its rows feasible; a run that retains its
-        # table screens none
-        expected, on = [], not retain
-        for k in range(p.trials // chunk):
-            if on:
-                expected.append(k)
-            on = not retain and 2 * feasible[k * chunk : (k + 1) * chunk].sum() < chunk
         for score in ScoreKind:
-            screened.clear()
             res = run_design(p, sol, score=score, retain=retain)
-            assert len(screened) == len(expected)
-            for block, k in zip(screened, expected):
-                assert_bitwise(block, signs[k * chunk : (k + 1) * chunk])
             if retain:
                 for name, column in plain.items():
                     assert_bitwise(getattr(res.trial_table, name), column)
@@ -253,13 +226,6 @@ class TestRunDesign:
             assert_bitwise(res.best.sequence, signs[i].astype(np.int8))
             assert res.gamma_min_feasible == plain["message_power"][feasible].min() / sol.objective
             assert res.beta == rounding._beta(p, sol)
-        if not retain:
-            gaps = np.diff(expected)
-            assert {
-                "first": expected == [0],
-                "every": expected == list(range(p.trials // chunk)),
-                "toggles": gaps.size > 0 and gaps.max() > 1,  # off, then on again
-            }[screens]
 
     def test_chunk_size_does_not_change_results(self, monkeypatch):
         p = make_problem(64, README_MESSAGE, README_INTERFERER, alpha=5.0, trials=300, seed=8)
@@ -356,12 +322,15 @@ def summary(res):
 
 
 class TestInterfererScreen:
-    """Summary runs screen blocks by interferer power; the kernel still decides."""
+    """Summary runs, which keep no trial table, select what retained runs select.
 
-    def test_rows_on_the_bound_count_as_unscreened(self, monkeypatch, screened):
+    Every block is scored whole and the kernel alone decides feasibility;
+    the class is named for an interferer screen that summary runs once had.
+    """
+
+    def test_rows_on_the_bound_count_as_unscreened(self, monkeypatch):
         # alpha set so that the feasibility bound is exactly one trial's
-        # interferer power: the screen, whose product can round above the
-        # kernel's, must still pass that row
+        # interferer power: that row is feasible, in summary runs too
         monkeypatch.setattr(rounding, "_CHUNK", 256)
         p = make_problem(64, README_MESSAGE, README_INTERFERER, alpha=1.0, trials=4 * 256, seed=7)
         sol = solve_relaxation(p)
@@ -379,17 +348,14 @@ class TestInterfererScreen:
             on_bound += 1
             q = replace(p, alpha=alpha)
             for score in ScoreKind:
-                screened.clear()
                 res = run_design(q, sol, score=score)
-                assert screened
                 assert summary(res) == summary(run_design(q, sol, score=score, retain=True))
         assert on_bound >= 3
 
-    def test_ties_go_to_the_lower_trial(self, monkeypatch, screened):
+    def test_ties_go_to_the_lower_trial(self, monkeypatch):
         # a rank-2 relaxation repeats a few sign patterns, so scores tie
-        # exactly; in blocks of 8 near 40% feasible, passed rows wait in
-        # the pool while later blocks are scored whole, and of equal scores
-        # the lower trial must still win
+        # exactly, across blocks of 8 near 40% feasible; of equal scores
+        # the lower trial must win
         monkeypatch.setattr(rounding, "_CHUNK", 8)
         for seed in range(26, 37):
             p = make_problem(16, (2, 3), (6, 7), trials=400, seed=seed)
@@ -397,23 +363,22 @@ class TestInterfererScreen:
             g = np.sort(run_design(p, sol, retain=True).trial_table.interferer_power)
             q = replace(p, alpha=float(g[int(0.4 * g.size)]))
             for score in ScoreKind:
-                screened.clear()
                 res = run_design(q, sol, score=score)
-                assert 0 < len(screened) < p.trials // 8
                 assert summary(res) == summary(run_design(q, sol, score=score, retain=True))
 
-    def test_no_feasible_trial(self, screened):
-        # the relaxation is feasible but no trial is: every block is screened out
+    def test_no_feasible_trial(self):
+        # the relaxation is feasible but no trial is, in two full blocks and
+        # a shorter last one
         p = make_problem(64, README_MESSAGE, README_INTERFERER, alpha=1e-6, trials=3000)
         sol = solve_relaxation(p)
         res = run_design(p, sol)
-        assert len(screened) == 2  # the two full blocks; the last is scored whole
         assert res.best is None
         assert res.n_feasible == 0
         assert res.gamma_min_feasible is None
         assert res.beta == run_design(p, sol, retain=True).beta
 
-    def test_empty_interferer_never_screened(self, monkeypatch, screened):
+    def test_empty_interferer_never_screened(self, monkeypatch):
+        # with no interferer bin every trial is feasible
         monkeypatch.setattr(rounding, "_CHUNK", 64)
         p = make_problem(16, (2, 3), (), alpha=0.0, trials=1000, seed=3)
         sol = solve_relaxation(p)
@@ -421,7 +386,6 @@ class TestInterfererScreen:
             res = run_design(p, sol, score=score)
             assert summary(res) == summary(run_design(p, sol, score=score, retain=True))
         assert res.n_feasible == p.trials
-        assert not screened
 
 
 def gather(blocks, rows):
@@ -525,18 +489,19 @@ def traced_peak(p, sol, retain):
 
 class TestWorkingMemory:
     @pytest.mark.parametrize("n, message, interferer, alpha, trials, retain, megabytes", [
-        # 2% feasible, so every block is screened: one block of signs, one
-        # of the rows that passed the screen, the basis and band_metrics'
-        # product and squares: 5.9 MB; 16 384-row chunks took 35.2
-        (256, bins((50, 12), (80, 12)), bins((20, 12), (100, 12)), 5.0, 10000, False, 8.0),
-        # unscreened: one block of signs, the basis, band_metrics' product
-        # and squares and 3.3 MB of full-length columns: 4.7 MB; 18.2 with
-        # 16 384-row chunks
+        # 2% feasible: one block of signs, the basis and band_metrics'
+        # product and squares: 3.8 MB; 6.0 with a second block held for
+        # the rows that could be feasible, 35.2 with 16 384-row chunks
+        (256, bins((50, 12), (80, 12)), bins((20, 12), (100, 12)), 5.0, 10000, False, 5.0),
+        # one block of signs, the basis, band_metrics' product and squares
+        # and 3.3 MB of full-length columns: 4.4 MB; 18.2 with 16 384-row
+        # chunks
         (64, bins((12, 3), (20, 3)), bins((5, 3), (25, 3)), 5.0, 100000, True, 6.5),
-        # the paper layout scaled to n=1024, 98% feasible, so the first block
-        # is screened and scored whole and no second block is made: 19.6 MB,
-        # of which the block of signs is 8.4; 64.6 with 4096-row chunks
-        (1024, bins((200, 48), (320, 48)), bins((80, 48), (400, 48)), 40.0, 4096, False, 32.0),
+        # the paper layout scaled to n=1024, 98% feasible: one block of
+        # signs (8.4 MB), the basis and band_metrics' product and squares:
+        # 18.1 MB; 28.0 with a second block held for the rows that could
+        # be feasible, 64.6 with 4096-row chunks
+        (1024, bins((200, 48), (320, 48)), bins((80, 48), (400, 48)), 40.0, 4096, False, 24.0),
     ], ids=["n256", "n64-retain", "n1024"])
     def test_peak_within_budget(self, n, message, interferer, alpha, trials, retain, megabytes):
         p = make_problem(n, message, interferer, alpha=alpha, trials=trials)
